@@ -12,6 +12,7 @@ that factorization greedily.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Composition = tuple[int, ...]
@@ -31,8 +32,8 @@ __all__ = [
 
 
 def as_composition(parts: Iterable[int]) -> Composition:
-    """Normalize to a tuple, rejecting negative parts."""
-    c = tuple(int(p) for p in parts)
+    """Normalize to a tuple, rejecting negative and non-integer parts."""
+    c = tuple(index(p) for p in parts)
     if any(p < 0 for p in c):
         raise ValueError("composition parts must be nonnegative")
     return c

@@ -110,16 +110,21 @@ def count_plane_degree(n: int, i: int) -> int:
 def fine_number(n: int) -> int:
     """Fine number F_n, normalized so that F_0 = 1, F_1 = 0, F_2 = 1, F_3 = 2.
 
-    Computed as 3 * sum_{j >= 0} C(2n - 2j, n) - 2 * C(2n + 1, n); the sum
-    terminates once 2n - 2j < n. This indexing is shifted relative to some
-    references, which start the sequence 1, 1, 0, 2, 6, ...: here F_{n-1}
-    pairs with plane trees that have n edges (see
-    :func:`count_odd_outdegree`).
+    Computed by the Fine recurrence 2*F_m + F_{m-1} = C_m (Deutsch and
+    Shapiro, "A survey of the Fine numbers", Discrete Math. 2001), with the
+    Catalan number C_m carried along as C_m = 2(2m-1)/(m+1) * C_{m-1};
+    both divisions go through :func:`exact_div`. O(n) operations. This
+    indexing is shifted relative to some references, which start the
+    sequence 1, 1, 0, 2, 6, ...: here F_{n-1} pairs with plane trees that
+    have n edges (see :func:`count_odd_outdegree`, which checks it against
+    the odd-outdegree row sum).
     """
     if n < 0:
         raise ValueError("fine number index must be nonnegative")
-    tail_sum = sum(binomial(2 * n - 2 * j, n) for j in range(n // 2 + 1))
-    value = 3 * tail_sum - 2 * binomial(2 * n + 1, n)
+    value = catalan_m = 1
+    for m in range(1, n + 1):
+        catalan_m = exact_div(2 * (2 * m - 1) * catalan_m, m + 1, "catalan step")
+        value = exact_div(catalan_m - value, 2, "fine recurrence")
     if value < 0:
         raise AssertionError(f"fine number F_{n} came out negative: {value}")
     return value

@@ -3,14 +3,26 @@
 The generating function C(z) of plane trees satisfies C = 1 + z*C^2 and
 the k-ary analogue B_k satisfies B_k = (1 + z*B_k)^k; both are computed
 here coefficient by coefficient from their defining equations, with no
-rationals and no rounding. The derivative-at-1 series of the bivariate
-vertex-marking generating functions reduce to shifted powers of C and B_k:
+rationals and no rounding. C comes from Segner's convolution. B_k comes
+from J. C. P. Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7): for
+P = F^k with F = 1 + z*B_k and f_0 = 1,
+
+    n * p_n = sum_{j=1..n} ((k+1)*j - n) * f_j * p_{n-j},
+
+and since P = B_k this reads n*b_n = sum ((k+1)j - n) b_{j-1} b_{n-j},
+O(N^2) operations in all, each quotient checked by ``exact_div``. The
+independent check that B_k - (1 + z*B_k)^k vanishes, by plain truncated
+multiplication, lives in ``verification._check_residuals``.
+
+The derivative-at-1 series of the bivariate vertex-marking generating
+functions reduce to shifted powers of C and B_k:
 
     sum_{m >= 0} z^(m+i) * C^(2m+i)                           (plane, outdegree i)
     C(k,i) * sum_{r >= 0} (k-1)^r * (z^(i+r) B_k^(i+r)
                                      + z^(i+r+1) B_k^(i+r+1))  (k-ary, outdegree i)
 
-Their coefficients are asserted against the closed-form counts, which
+Each power is carried only to the order that survives its shift. Their
+coefficients are asserted against the closed-form counts, which
 makes each construction a machine check of the corresponding identity.
 Power-coefficient laws used along the way:
 
@@ -23,7 +35,8 @@ wrong already at k=2, n=2, l=1 (see the tests).
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import add, index, mul
+from typing import Iterable, Sequence
 
 from .exact_math import (
     binomial,
@@ -48,13 +61,14 @@ class TruncatedSeries:
 
     Arithmetic is exact and closed at one truncation order; combining
     series of different orders raises instead of silently re-truncating.
-    Instances are immutable.
+    Coefficients must be integers (a float raises TypeError). Instances
+    are immutable.
     """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int]):
-        coeffs = tuple(int(c) for c in coefficients)
+        coeffs = tuple(index(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coefficients", coeffs)
@@ -118,16 +132,9 @@ class TruncatedSeries:
         if isinstance(other, int):
             return TruncatedSeries(other * c for c in self.coefficients)
         rhs = self._coerce(other)
-        size = self.order + 1
-        out = [0] * size
-        for a_index, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for b_index in range(size - a_index):
-                b = rhs.coefficients[b_index]
-                if b:
-                    out[a_index + b_index] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries(
+            _product(self.coefficients, rhs.coefficients, self.order)
+        )
 
     __rmul__ = __mul__
 
@@ -163,6 +170,11 @@ class TruncatedSeries:
         return TruncatedSeries(self.coefficients[: new_order + 1])
 
 
+def _product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
+    """Coefficients 0..top of a*b; both sequences must reach index top."""
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(top + 1)]
+
+
 def catalan_series(order: int) -> TruncatedSeries:
     """C(z) with C = 1 + z*C^2, via the convolution c_n = sum c_j c_{n-1-j}."""
     if order < 0:
@@ -177,18 +189,23 @@ def catalan_series(order: int) -> TruncatedSeries:
 def kary_series(k: int, order: int) -> TruncatedSeries:
     """B_k(z) with B_k = (1 + z*B_k)^k and constant term 1.
 
-    Coefficients are read off degree by degree: coefficient n of
-    (1 + z*B)^k only involves coefficients of B below n.
+    Coefficient n comes from Miller's power recurrence for (1 + z*B)^k
+    (Knuth, TAOCP Vol. 2, 4.7), which only involves coefficients of B
+    below n: n*b_n = sum_{j=1..n} ((k+1)j - n) * b_{j-1} * b_{n-j}, the
+    division by n done by ``exact_div``. O(order^2) operations. The
+    defining equation itself is checked independently, by plain truncated
+    multiplication, in ``verification._check_residuals``.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    b = [0] * (order + 1)
-    b[0] = 1
+    b = [1]
     for n in range(1, order + 1):
-        current = TruncatedSeries(b)
-        b[n] = ((current.shift(1) + 1) ** k)[n]
+        total = sum(
+            ((k + 1) * j - n) * b[j - 1] * b[n - j] for j in range(1, n + 1)
+        )
+        b.append(exact_div(total, n, "Miller power recurrence"))
     return TruncatedSeries(b)
 
 
@@ -246,15 +263,16 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
         raise ValueError("outdegree must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    acc = TruncatedSeries.constant(0, order)
+    acc = [0] * (order + 1)
     if i <= order:
-        c = catalan_series(order)
-        c_squared = c * c
-        power = c**i
+        c = catalan_series(order).coefficients
+        c_squared = _product(c, c, order - i)
+        power = (TruncatedSeries(c[: order - i + 1]) ** i).coefficients
         for m in range(order - i + 1):
-            acc = acc + power.shift(m + i)
-            if m < order - i:
-                power = power * c_squared
+            # power is C^(2m+i) through z^(order-m-i), all that survives
+            # the shift by z^(m+i).
+            acc[m + i :] = map(add, acc[m + i :], power)
+            power = _product(power, c_squared, order - i - m - 1)
     for n in range(1, order + 1):
         expected = count_plane_outdegree(n, i)
         if acc[n] != expected:
@@ -262,7 +280,7 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
                 f"plane derivative series at i={i}: coefficient {n} is "
                 f"{acc[n]}, closed form {expected}"
             )
-    return acc
+    return TruncatedSeries(acc)
 
 
 def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
@@ -279,19 +297,24 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
         raise ValueError(f"outdegree must lie in 0..{k}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    acc = TruncatedSeries.constant(0, order)
+    acc = [0] * (order + 1)
     if i <= order:
-        b = kary_series(k, order)
-        power = b**i
+        b = kary_series(k, order).coefficients
+        power = (TruncatedSeries(b[: order - i + 1]) ** i).coefficients
         weight = 1
         for r in range(order - i + 1):
-            power_next = power * b
-            acc = acc + weight * (power.shift(i + r) + power_next.shift(i + r + 1))
+            # power is B^(i+r) through z^(order-i-r), all that survives
+            # the shift by z^(i+r); power_next is one order shorter.
+            power_next = _product(power, b, order - i - r - 1)
+            acc[i + r :] = map(add, acc[i + r :], (weight * p for p in power))
+            acc[i + r + 1 :] = map(
+                add, acc[i + r + 1 :], (weight * p for p in power_next)
+            )
             power = power_next
             weight *= k - 1
             if weight == 0:
                 break
-    acc = binomial(k, i) * acc
+        acc = [binomial(k, i) * a for a in acc]
     for n in range(1, order + 1):
         expected = count_kary_outdegree(n, k, i)
         if acc[n] != expected:
@@ -299,4 +322,4 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
                 f"k-ary derivative series at k={k}, i={i}: coefficient {n} is "
                 f"{acc[n]}, closed form {expected}"
             )
-    return acc
+    return TruncatedSeries(acc)

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treedegree import (
+    as_composition,
     enumerate_compositions,
     f_statistic,
     format_composition,
@@ -142,3 +143,12 @@ def test_enumerate_compositions_counts():
             assert len(set(words)) == len(words)
             assert all(len(w) == length and sum(w) == total for w in words)
             assert words == sorted(words)
+
+
+def test_as_composition_rejects_non_integers():
+    # int() would silently truncate [1.7, 0.2] to (1, 0).
+    assert as_composition([2, 0, 0]) == (2, 0, 0)
+    with pytest.raises(TypeError):
+        as_composition([1.7, 0.2])
+    with pytest.raises(TypeError):
+        as_composition(["1", "0"])

@@ -23,6 +23,13 @@ def segner_catalan(limit):
     return values
 
 
+def fine_closed_form(n):
+    # Independent reference for the Fine recurrence:
+    # F_n = 3 * sum_{j >= 0} C(2n - 2j, n) - 2 * C(2n + 1, n).
+    tail_sum = sum(binomial(2 * n - 2 * j, n) for j in range(n // 2 + 1))
+    return 3 * tail_sum - 2 * binomial(2 * n + 1, n)
+
+
 def pascal_triangle(rows):
     tri = [[1]]
     for n in range(1, rows):
@@ -170,6 +177,10 @@ class TestFineNumbers:
         assert fine_number(3) == 2
         assert fine_number(4) == 6
 
+    def test_matches_closed_form(self):
+        for n in range(300):
+            assert fine_number(n) == fine_closed_form(n)
+
     def test_recurrence_with_odd_counts(self):
         # count_odd_outdegree(n) = 2/3*C(2n-1, n) + 1/3*F_{n-1}, solved
         # for F: F_{n-1} = 3*odd(n) - 2*C(2n-1, n).
@@ -185,7 +196,7 @@ class TestOddOutdegree:
         assert count_odd_outdegree(3) == 7
 
     def test_equals_odd_row_slice(self):
-        for n in range(1, 15):
+        for n in range(1, 301):
             expected = sum(
                 count_plane_outdegree(n, i) for i in range(1, n + 1, 2)
             )

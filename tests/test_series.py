@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treedegree import (
     TruncatedSeries,
@@ -13,7 +15,28 @@ from treedegree import (
     plane_derivative_series,
     verify_catalan_power_coeff,
     verify_kary_power_coeff,
+    verification,
 )
+from treedegree.cli import main
+
+
+def naive_product(a, b):
+    # Reference for TruncatedSeries.__mul__: the schoolbook double loop.
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def coefficient_pairs():
+    signed = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+    return st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(signed, min_size=n + 1, max_size=n + 1),
+            st.lists(signed, min_size=n + 1, max_size=n + 1),
+        )
+    )
 
 
 class TestTruncatedSeries:
@@ -45,6 +68,19 @@ class TestTruncatedSeries:
         assert a[2] == 3
         with pytest.raises(IndexError):
             a[3]
+
+    @given(coefficient_pairs())
+    def test_mul_matches_naive_double_loop(self, pair):
+        a, b = pair
+        product = TruncatedSeries(a) * TruncatedSeries(b)
+        assert product.coefficients == naive_product(a, b)
+
+    def test_float_coefficients_rejected(self):
+        # int() would silently truncate these to (1, 2).
+        with pytest.raises(TypeError):
+            TruncatedSeries([1.5, 2.9])
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, 2.0])
 
     def test_immutable(self):
         a = TruncatedSeries([1, 2, 3])
@@ -78,9 +114,32 @@ class TestDefiningEquations:
         assert kary_series(3, 2)[2] == 12
 
     def test_kary_residuals(self):
-        for k in range(1, 6):
-            b = kary_series(k, 30)
-            assert b - (b.shift(1) + 1) ** k == TruncatedSeries.constant(0, 30)
+        # Miller's recurrence builds B_k; the residual B - (1 + zB)^k is
+        # formed here by repeated plain multiplication instead.
+        for k in range(1, 7):
+            assert kary_series(k, 0).coefficients == (1,)
+            b = kary_series(k, 60)
+            f = b.shift(1) + 1
+            power = f
+            for _ in range(k - 1):
+                power = power * f
+            assert b - power == TruncatedSeries.constant(0, 60)
+
+    def test_wrong_kary_series_fails_residual_check(self, monkeypatch, capsys):
+        real = kary_series
+
+        def off_by_one(k, order):
+            coefficients = list(real(k, order).coefficients)
+            if order >= 5:
+                coefficients[5] += 1
+            return TruncatedSeries(coefficients)
+
+        monkeypatch.setattr(verification, "kary_series", off_by_one)
+        code = main(["verify", "lagrange", "--max-arity", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        residual = [line for line in lines if "defining-equation residuals" in line]
+        assert code == 1
+        assert len(residual) == 1 and residual[0].startswith("FAIL ")
 
     def test_kary_closed_form(self):
         for k in range(1, 6):
