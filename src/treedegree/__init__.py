@@ -15,139 +15,19 @@ The package has three layers:
 enumeration; the ``treedegree`` command line exposes everything.
 """
 
-from .compositions import (
-    Composition,
-    FundamentalDecomposition,
-    as_composition,
-    enumerate_compositions,
-    f_statistic,
-    format_composition,
-    fundamental_decomposition,
-    is_positive,
-    is_unit,
-    parse_composition,
-)
-from .exact_math import (
-    binomial,
-    catalan,
-    count_kary_outdegree,
-    count_odd_outdegree,
-    count_plane_degree,
-    count_plane_outdegree,
-    exact_div,
-    fine_number,
-    multinomial,
-    verify_outdegree_sequence_identity,
-)
-from .kary_trees import (
-    KaryTree,
-    MarkedKaryTree,
-    SubsetPair,
-    complete,
-    composition_to_kary_pair,
-    count_kary_outdegree_bruteforce,
-    enumerate_kary_trees,
-    format_kary_tree,
-    format_marked_kary_tree,
-    kary_leaf,
-    kary_pair_to_composition,
-    kary_preorder_outdegrees,
-    kary_word_parameters,
-    parse_kary_tree,
-    parse_marked_kary_tree,
-    phi,
-    phi_inverse,
-    uncomplete,
-)
-from .plane_trees import (
-    MarkedPlaneTree,
-    PlaneTree,
-    bar_delta_decode,
-    bar_delta_encode,
-    count_outdegree_bruteforce,
-    degree_histogram,
-    delta_decode,
-    enumerate_plane_trees,
-    format_marked_plane_tree,
-    format_plane_tree,
-    outdegree_histogram,
-    parse_marked_plane_tree,
-    parse_plane_tree,
-    preorder_outdegrees,
-)
-from .series import (
-    TruncatedSeries,
-    catalan_series,
-    kary_derivative_series,
-    kary_series,
-    plane_derivative_series,
-    verify_catalan_power_coeff,
-    verify_kary_power_coeff,
-)
-from .verification import CheckResult, verify_all
+from . import compositions, exact_math, kary_trees, plane_trees, series, verification
+from .compositions import *  # noqa: F401,F403
+from .exact_math import *  # noqa: F401,F403
+from .kary_trees import *  # noqa: F401,F403
+from .plane_trees import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .verification import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# The package exports exactly what each library module exports.
 __all__ = [
-    "Composition",
-    "FundamentalDecomposition",
-    "as_composition",
-    "enumerate_compositions",
-    "f_statistic",
-    "format_composition",
-    "fundamental_decomposition",
-    "is_positive",
-    "is_unit",
-    "parse_composition",
-    "binomial",
-    "catalan",
-    "count_kary_outdegree",
-    "count_odd_outdegree",
-    "count_plane_degree",
-    "count_plane_outdegree",
-    "exact_div",
-    "fine_number",
-    "multinomial",
-    "verify_outdegree_sequence_identity",
-    "KaryTree",
-    "MarkedKaryTree",
-    "SubsetPair",
-    "complete",
-    "composition_to_kary_pair",
-    "count_kary_outdegree_bruteforce",
-    "enumerate_kary_trees",
-    "format_kary_tree",
-    "format_marked_kary_tree",
-    "kary_leaf",
-    "kary_pair_to_composition",
-    "kary_preorder_outdegrees",
-    "kary_word_parameters",
-    "parse_kary_tree",
-    "parse_marked_kary_tree",
-    "phi",
-    "phi_inverse",
-    "uncomplete",
-    "MarkedPlaneTree",
-    "PlaneTree",
-    "bar_delta_decode",
-    "bar_delta_encode",
-    "count_outdegree_bruteforce",
-    "degree_histogram",
-    "delta_decode",
-    "enumerate_plane_trees",
-    "format_marked_plane_tree",
-    "format_plane_tree",
-    "outdegree_histogram",
-    "parse_marked_plane_tree",
-    "parse_plane_tree",
-    "preorder_outdegrees",
-    "TruncatedSeries",
-    "catalan_series",
-    "kary_derivative_series",
-    "kary_series",
-    "plane_derivative_series",
-    "verify_catalan_power_coeff",
-    "verify_kary_power_coeff",
-    "CheckResult",
-    "verify_all",
+    name
+    for module in (compositions, exact_math, kary_trees, plane_trees, series, verification)
+    for name in module.__all__
 ]

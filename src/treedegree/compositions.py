@@ -12,6 +12,7 @@ that factorization greedily.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -71,10 +72,7 @@ class FundamentalDecomposition(NamedTuple):
     tail: Composition
 
     def concat(self) -> Composition:
-        flat: tuple[int, ...] = ()
-        for unit in self.units:
-            flat += unit
-        return flat + self.tail
+        return (*chain.from_iterable(self.units), *self.tail)
 
 
 def fundamental_decomposition(c: Composition) -> FundamentalDecomposition:

@@ -4,7 +4,9 @@ A k-ary tree gives every vertex exactly k ordered child slots, each empty
 or holding a subtree; edges count the filled slots. Filling every empty
 slot with a leaf produces the *completion*: a plane tree whose internal
 vertices all have outdegree exactly k (:func:`complete` /
-:func:`uncomplete`). A marked k-ary tree therefore encodes, through the
+:func:`uncomplete`). A :class:`KaryTree` *is* the preorder outdegree word
+of its completion, a unit composition of 0s and ks, and every operation
+here is a flat scan of that word. A marked k-ary tree encodes, through the
 completion and the cyclic word of :mod:`treedegree.plane_trees`, as a
 composition made of n copies of k and kn + k - n zeros whose fundamental
 decomposition has at least k unit blocks (:func:`kary_pair_to_composition`
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from itertools import chain, product
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_EDGE_LIMIT, check_guard
 from .compositions import (
@@ -34,6 +36,7 @@ from .compositions import (
 from .plane_trees import (
     MarkedPlaneTree,
     PlaneTree,
+    _plane_tree,
     bar_delta_decode,
     bar_delta_encode,
 )
@@ -60,37 +63,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class KaryTree:
-    """Vertex with exactly ``arity`` ordered slots, each empty (None) or a subtree."""
+    """k-ary tree, held as its arity and the outdegree word of its completion.
+
+    ``KaryTree(arity, slots)`` builds the vertex whose ``arity`` ordered
+    slots are each empty (None) or a subtree of the same arity. ``word``
+    has one entry per vertex of the completion in preorder: ``arity`` for
+    a vertex of the tree, 0 for an empty slot. Equality, hashing and repr
+    work on (arity, word).
+    """
 
     arity: int
-    slots: tuple[Optional["KaryTree"], ...]
+    word: Composition
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, arity: int, slots: Iterable[Optional["KaryTree"]]):
+        slots = tuple(slots)
+        if arity < 1:
             raise ValueError("arity must be at least 1")
-        if len(self.slots) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} slots, got {len(self.slots)}"
-            )
-        for sub in self.slots:
-            if sub is not None and sub.arity != self.arity:
+        if len(slots) != arity:
+            raise ValueError(f"expected {arity} slots, got {len(slots)}")
+        for sub in slots:
+            if sub is not None and sub.arity != arity:
                 raise ValueError("subtree arity differs from parent arity")
+        word = (arity, *chain.from_iterable((0,) if sub is None else sub.word for sub in slots))
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "word", word)
 
     @property
     def vertex_count(self) -> int:
-        total = 0
-        stack: list[KaryTree] = [self]
-        while stack:
-            node = stack.pop()
-            total += 1
-            stack.extend(sub for sub in node.slots if sub is not None)
-        return total
+        return len(self.word) - self.word.count(0)
 
     @property
     def edge_count(self) -> int:
         return self.vertex_count - 1
+
+
+def _kary_tree(arity: int, word: Composition) -> KaryTree:
+    # The tree whose completion has the 0/arity unit word ``word``.
+    tree = object.__new__(KaryTree)
+    object.__setattr__(tree, "arity", arity)
+    object.__setattr__(tree, "word", word)
+    return tree
 
 
 class MarkedKaryTree(NamedTuple):
@@ -106,12 +120,18 @@ def kary_leaf(arity: int) -> KaryTree:
 def kary_preorder_outdegrees(t: KaryTree) -> tuple[int, ...]:
     """Number of filled slots per vertex, in preorder over present vertices."""
     out: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        present = [sub for sub in node.slots if sub is not None]
-        out.append(len(present))
-        stack.extend(reversed(present))
+    open_vertices: list[list[int]] = []  # [index in out, slots still to read]
+    for part in t.word:
+        if open_vertices:
+            parent = open_vertices[-1]
+            parent[1] -= 1
+            if part:
+                out[parent[0]] += 1
+            if not parent[1]:
+                open_vertices.pop()
+        if part:
+            open_vertices.append([len(out), part])
+            out.append(0)
     return tuple(out)
 
 
@@ -121,26 +141,11 @@ def complete(t: KaryTree) -> tuple[PlaneTree, tuple[int, ...]]:
     Returns the resulting plane tree together with the preorder index map:
     entry j-1 is the completed tree's preorder index of the j-th vertex of
     ``t``. Every original vertex becomes internal with outdegree exactly
-    k, so a tree with n edges completes to k(n+1) edges.
+    k, so a tree with n edges completes to k(n+1) edges. The completion's
+    word is ``t.word`` itself, and the map lists the positions of k in it.
     """
-    index_map: list[int] = []
-    counter = 0
-
-    def walk(node: KaryTree) -> PlaneTree:
-        nonlocal counter
-        counter += 1
-        index_map.append(counter)
-        children: list[PlaneTree] = []
-        for sub in node.slots:
-            if sub is None:
-                counter += 1
-                children.append(PlaneTree())
-            else:
-                children.append(walk(sub))
-        return PlaneTree(tuple(children))
-
-    completed = walk(t)
-    return completed, tuple(index_map)
+    index_map = tuple(pos for pos, part in enumerate(t.word, 1) if part)
+    return _plane_tree(t.word), index_map
 
 
 def uncomplete(p: PlaneTree, k: int) -> KaryTree:
@@ -151,20 +156,13 @@ def uncomplete(p: PlaneTree, k: int) -> KaryTree:
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
-    if not p.children:
+    word = p.word
+    if not word[0]:
         raise ValueError("a single vertex is not the completion of any tree")
-
-    def walk(node: PlaneTree) -> KaryTree:
-        if len(node.children) != k:
-            raise ValueError(
-                f"internal vertex has outdegree {len(node.children)}, expected {k}"
-            )
-        return KaryTree(
-            k,
-            tuple(None if not child.children else walk(child) for child in node.children),
-        )
-
-    return walk(p)
+    for part in word:
+        if part and part != k:
+            raise ValueError(f"internal vertex has outdegree {part}, expected {k}")
+    return _kary_tree(k, word)
 
 
 def kary_word_parameters(
@@ -362,29 +360,24 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard("k-ary tree enumeration", k * n, KARY_EDGE_LIMIT)
-    cache: dict[int, list[KaryTree]] = {}
-
-    def trees(budget: int) -> list[KaryTree]:
-        if budget in cache:
-            return cache[budget]
-        result: list[KaryTree] = []
-        if budget == 0:
-            result.append(kary_leaf(k))
-        else:
-            for mask in range(1, 1 << k):
-                filled = [j for j in range(k) if mask >> j & 1]
-                if len(filled) > budget:
-                    continue
-                for parts in enumerate_compositions(budget - len(filled), len(filled)):
-                    for combo in product(*(trees(b) for b in parts)):
-                        slots: list[KaryTree | None] = [None] * k
-                        for slot_index, sub in zip(filled, combo):
-                            slots[slot_index] = sub
-                        result.append(KaryTree(k, tuple(slots)))
-        cache[budget] = result
-        return result
-
-    yield from trees(n)
+    # words[b] lists the words of all trees with b edges, in order; a
+    # tree's subtrees have fewer edges, so their lists are already there.
+    words: list[list[Composition]] = [[(k,) + (0,) * k]]
+    for budget in range(1, n + 1):
+        result: list[Composition] = []
+        for mask in range(1, 1 << k):
+            filled = [j for j in range(k) if mask >> j & 1]
+            if len(filled) > budget:
+                continue
+            for parts in enumerate_compositions(budget - len(filled), len(filled)):
+                for combo in product(*(words[b] for b in parts)):
+                    slots: list[Composition] = [(0,)] * k
+                    for slot_index, sub in zip(filled, combo):
+                        slots[slot_index] = sub
+                    result.append((k, *chain.from_iterable(slots)))
+        words.append(result)
+    for word in words[n]:
+        yield _kary_tree(k, word)
 
 
 def count_kary_outdegree_bruteforce(k: int, n: int, i: int) -> int:
@@ -435,11 +428,21 @@ class SubsetPair:
 
 
 def format_kary_tree(t: KaryTree) -> str:
-    """Recursive slot form: ``( s_1 ... s_k )`` with ``.`` for an empty slot."""
-    parts = [
-        "." if sub is None else format_kary_tree(sub) for sub in t.slots
-    ]
-    return "( " + " ".join(parts) + " )"
+    """Slot form: ``( s_1 ... s_k )`` per vertex, with ``.`` for an empty slot."""
+    tokens: list[str] = []
+    pending: list[int] = []  # slots still to come, per open vertex
+    for part in t.word:
+        if pending:
+            pending[-1] -= 1
+        if part:
+            tokens.append("(")
+            pending.append(part)
+        else:
+            tokens.append(".")
+            while pending and not pending[-1]:
+                pending.pop()
+                tokens.append(")")
+    return " ".join(tokens)
 
 
 def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
@@ -448,42 +451,42 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
     The arity is inferred from the groups and must be consistent
     throughout (and match ``arity`` when given).
     """
-    frames: list[list[KaryTree | None]] = []
-    root: KaryTree | None = None
+    vertices: list[bool] = []  # completion in preorder: True for a group, False for '.'
+    entries: list[int] = []  # slots read so far, per open group
+    roots = 0
     k = arity
-    for ch in text:
-        if ch.isspace():
-            continue
+    for ch in "".join(text.split()):
         if ch == "(":
-            frames.append([])
+            if entries:
+                entries[-1] += 1
+            vertices.append(True)
+            entries.append(0)
         elif ch == ".":
-            if not frames:
+            if not entries:
                 raise ValueError("'.' outside any group")
-            frames[-1].append(None)
+            entries[-1] += 1
+            vertices.append(False)
         elif ch == ")":
-            if not frames:
+            if not entries:
                 raise ValueError(f"unbalanced ')' in {text!r}")
-            entries = frames.pop()
+            count = entries.pop()
             if k is None:
-                k = len(entries)
-            elif len(entries) != k:
-                raise ValueError(
-                    f"group with {len(entries)} slots in arity-{k} tree"
-                )
-            node = KaryTree(k, tuple(entries))
-            if frames:
-                frames[-1].append(node)
-            elif root is None:
-                root = node
-            else:
-                raise ValueError("more than one root group")
+                k = count
+            elif count != k:
+                raise ValueError(f"group with {count} slots in arity-{k} tree")
+            if k < 1:
+                raise ValueError("arity must be at least 1")
+            if not entries:
+                roots += 1
+                if roots > 1:
+                    raise ValueError("more than one root group")
         else:
             raise ValueError(f"unexpected character {ch!r} in k-ary tree text")
-    if frames:
+    if entries:
         raise ValueError(f"unbalanced '(' in {text!r}")
-    if root is None:
+    if not roots:
         raise ValueError("empty k-ary tree text")
-    return root
+    return _kary_tree(k, tuple(k if group else 0 for group in vertices))
 
 
 def format_marked_kary_tree(m: MarkedKaryTree) -> str:

@@ -1,14 +1,15 @@
-"""Plane trees, their outdegree words, and the marked-tree cyclic bijection.
+"""Plane trees as their outdegree words, and the marked-tree cyclic bijection.
 
 A plane tree is a rooted tree whose subtrees are linearly ordered; vertices
 are identified by their 1-based preorder (depth-first) index. Reading off
 outdegrees in preorder gives a unit composition, and that map is a
-bijection (:func:`preorder_outdegrees` / :func:`delta_decode`). Marking a
-vertex of outdegree i and deleting its entry from the cyclic outdegree
-word gives a bijection between marked trees and arbitrary n-part
-compositions of n - i (:func:`bar_delta_encode` /
-:func:`bar_delta_decode`); the inverse reads the fundamental decomposition
-of the word.
+bijection, so a :class:`PlaneTree` *is* that word: it holds nothing else,
+and every operation here is a flat scan of it (:func:`preorder_outdegrees`
+/ :func:`delta_decode` only unwrap and wrap). Marking a vertex of
+outdegree i and deleting its entry from the cyclic outdegree word gives a
+bijection between marked trees and arbitrary n-part compositions of n - i
+(:func:`bar_delta_encode` / :func:`bar_delta_decode`); the inverse reads
+the fundamental decomposition of the word.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
 brute-force oracle for the closed-form counts.
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from ._limits import PLANE_EDGE_LIMIT, check_guard
-from .compositions import Composition, fundamental_decomposition, is_unit
+from .compositions import Composition, as_composition, fundamental_decomposition, is_unit
 
 __all__ = [
     "PlaneTree",
@@ -41,25 +43,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PlaneTree:
-    """Immutable plane tree; equality and hashing are structural."""
+    """Immutable plane tree, held as its preorder outdegree word.
 
-    children: tuple["PlaneTree", ...] = ()
+    ``PlaneTree(children)`` builds the tree with the given subtrees;
+    equality, hashing and repr work on ``word``.
+    """
+
+    word: Composition
+
+    def __init__(self, children: Iterable["PlaneTree"] = ()):
+        children = tuple(children)
+        word = (len(children), *chain.from_iterable(c.word for c in children))
+        object.__setattr__(self, "word", word)
 
     @property
     def vertex_count(self) -> int:
-        total = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            total += 1
-            stack.extend(node.children)
-        return total
+        return len(self.word)
 
     @property
     def edge_count(self) -> int:
-        return self.vertex_count - 1
+        return len(self.word) - 1
+
+
+def _plane_tree(word: Composition) -> PlaneTree:
+    # The tree of a word already known to be a unit composition.
+    tree = object.__new__(PlaneTree)
+    object.__setattr__(tree, "word", word)
+    return tree
 
 
 class MarkedPlaneTree(NamedTuple):
@@ -69,71 +81,55 @@ class MarkedPlaneTree(NamedTuple):
 
 def preorder_outdegrees(t: PlaneTree) -> Composition:
     """Outdegree word (d_1, ..., d_{n+1}) of the tree in preorder."""
-    out: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        out.append(len(node.children))
-        stack.extend(reversed(node.children))
-    return tuple(out)
+    return t.word
 
 
 def delta_decode(word: Composition) -> PlaneTree:
-    """Rebuild the unique plane tree whose preorder outdegree word is ``word``.
+    """The unique plane tree whose preorder outdegree word is ``word``.
 
-    Rejects words that are not unit compositions. Reconstruction is the
-    usual stack scan: each entry opens a vertex expecting that many
-    children, and a vertex closes as soon as its children are complete.
+    Rejects words that are not unit compositions.
     """
+    word = as_composition(word)
     if not is_unit(word):
         raise ValueError(f"not a unit composition: {word!r}")
-    stack: list[tuple[int, list[PlaneTree]]] = []
-    for degree in word:
-        stack.append((degree, []))
-        while stack and len(stack[-1][1]) == stack[-1][0]:
-            degree_done, kids = stack.pop()
-            node = PlaneTree(tuple(kids))
-            if not stack:
-                return node
-            stack[-1][1].append(node)
-    raise AssertionError(f"unit word did not close into a tree: {word!r}")
+    return _plane_tree(word)
 
 
 def outdegree_histogram(t: PlaneTree) -> dict[int, int]:
     """Map outdegree -> number of vertices with that outdegree."""
-    return dict(Counter(preorder_outdegrees(t)))
+    return dict(Counter(t.word))
 
 
 def degree_histogram(t: PlaneTree) -> dict[int, int]:
     """Map degree -> vertex count; the root's degree is its outdegree,
     every other vertex has degree outdegree + 1."""
-    counts: Counter[int] = Counter()
-    counts[len(t.children)] += 1
-    stack = list(t.children)
-    while stack:
-        node = stack.pop()
-        counts[len(node.children) + 1] += 1
-        stack.extend(node.children)
+    counts = Counter({t.word[0]: 1})
+    counts.update(d + 1 for d in t.word[1:])
     return dict(counts)
 
 
 def _unit_words(n: int) -> Iterator[Composition]:
-    # All unit (n+1)-part compositions of n in lexicographic order. At
-    # 0-based position pos with running sum `total`, the next part must
-    # keep the prefix f-value nonnegative (d >= pos + 1 - total) and the
-    # sum within n; the final part is then forced to 0.
+    # All unit (n+1)-part compositions of n in lexicographic order, as an
+    # odometer over positions 0..n-1. Position p with running sum
+    # totals[p] takes parts from max(0, p + 1 - totals[p]), which keeps the
+    # prefix f-value nonnegative, while the sum stays within n; the final
+    # part is then forced to 0.
     word = [0] * (n + 1)
-
-    def extend(pos: int, total: int) -> Iterator[Composition]:
-        if pos == n:
-            word[pos] = 0
-            yield tuple(word)
+    totals = [0] * (n + 1)  # totals[p] = sum(word[:p])
+    pos = 0
+    while True:
+        for p in range(pos, n):
+            word[p] = max(0, p + 1 - totals[p])
+            totals[p + 1] = totals[p] + word[p]
+        yield tuple(word)
+        pos = n - 1
+        while pos >= 0 and totals[pos + 1] == n:
+            pos -= 1
+        if pos < 0:
             return
-        for d in range(max(0, pos + 1 - total), n - total + 1):
-            word[pos] = d
-            yield from extend(pos + 1, total + d)
-
-    yield from extend(0, 0)
+        word[pos] += 1
+        totals[pos + 1] += 1
+        pos += 1
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
@@ -145,8 +141,7 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard("plane-tree enumeration", n, PLANE_EDGE_LIMIT)
-    for word in _unit_words(n):
-        yield delta_decode(word)
+    yield from map(_plane_tree, _unit_words(n))
 
 
 def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
@@ -156,7 +151,7 @@ def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
     (d_{j+1}, ..., d_{n+1}, d_1, ..., d_{j-1}): length n, sum n - i where
     i is the marked vertex's outdegree.
     """
-    word = preorder_outdegrees(m.tree)
+    word = m.tree.word
     if not 1 <= m.mark <= len(word):
         raise ValueError(f"mark {m.mark} out of range 1..{len(word)}")
     return word[m.mark :] + word[: m.mark - 1]
@@ -167,8 +162,8 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
 
     ``word`` must have length n and sum n - i. Writing its fundamental
     decomposition as unit blocks u_1 ... u_s and positive tail p, the word
-    p + (i) + u_1 + ... + u_s is always a unit composition; decoding it
-    gives the tree, and the mark sits at preorder index len(p) + 1.
+    p + (i) + u_1 + ... + u_s is always a unit composition; it is the
+    tree, and the mark sits at preorder index len(p) + 1.
     """
     word = tuple(word)
     n = len(word)
@@ -185,13 +180,10 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
         raise AssertionError(
             f"decomposition out of balance for {word!r}: s={s}, f(tail)={tail_f}, i={i}"
         )
-    flat: tuple[int, ...] = ()
-    for unit in units:
-        flat += unit
-    alpha = tail + (i,) + flat
+    alpha = (*tail, i, *chain.from_iterable(units))
     if not is_unit(alpha):
         raise AssertionError(f"rebuilt word is not a unit composition: {alpha!r}")
-    return MarkedPlaneTree(delta_decode(alpha), len(tail) + 1)
+    return MarkedPlaneTree(_plane_tree(alpha), len(tail) + 1)
 
 
 def count_outdegree_bruteforce(n: int, i: int) -> int:
@@ -201,7 +193,7 @@ def count_outdegree_bruteforce(n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
-    return sum(outdegree_histogram(t).get(i, 0) for t in enumerate_plane_trees(n))
+    return sum(t.word.count(i) for t in enumerate_plane_trees(n))
 
 
 def format_plane_tree(t: PlaneTree) -> str:
@@ -211,35 +203,37 @@ def format_plane_tree(t: PlaneTree) -> str:
     children renders as ``()()``.
     """
     out: list[str] = []
-    stack = [iter(t.children)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            if stack:
-                out.append(")")
-        else:
+    pending: list[int] = []  # children still to come, per open vertex
+    for degree in t.word:
+        if pending:
+            pending[-1] -= 1
             out.append("(")
-            stack.append(iter(child.children))
+        pending.append(degree)
+        while pending and not pending[-1]:
+            pending.pop()
+            if pending:
+                out.append(")")
     return "".join(out)
 
 
 def parse_plane_tree(text: str) -> PlaneTree:
     """Inverse of :func:`format_plane_tree`; whitespace is ignored."""
-    frames: list[list[PlaneTree]] = [[]]
+    word = [0]
+    open_vertices = [0]  # word index of each vertex whose ')' is still to come
     for ch in text:
         if ch == "(":
-            frames.append([])
+            word[open_vertices[-1]] += 1
+            open_vertices.append(len(word))
+            word.append(0)
         elif ch == ")":
-            if len(frames) == 1:
+            if len(open_vertices) == 1:
                 raise ValueError(f"unbalanced ')' in {text!r}")
-            kids = frames.pop()
-            frames[-1].append(PlaneTree(tuple(kids)))
+            open_vertices.pop()
         elif not ch.isspace():
             raise ValueError(f"unexpected character {ch!r} in plane tree text")
-    if len(frames) != 1:
+    if len(open_vertices) != 1:
         raise ValueError(f"unbalanced '(' in {text!r}")
-    return PlaneTree(tuple(frames[0]))
+    return _plane_tree(tuple(word))
 
 
 def format_marked_plane_tree(m: MarkedPlaneTree) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import exact_math
 from .compositions import enumerate_compositions, is_unit
@@ -41,7 +41,7 @@ from .series import (
     plane_derivative_series,
 )
 
-__all__ = ["CheckResult", "default_kary_cells", "verify_all"]
+__all__ = ["CheckResult", "default_kary_cells", "run_checks", "verify_all"]
 
 
 @dataclass
@@ -484,18 +484,34 @@ def _cells_scope(cells: Sequence[tuple[int, int]]) -> str:
     return ", ".join(f"k={k}: n<={top}" for k, top in sorted(by_arity.items()))
 
 
+# Each ``verify`` subcommand and the checks it runs, in report order, as a
+# function of the bounds (max_edges, max_arity); ``all`` runs every entry
+# in this order. The entries look the checks up when called.
+CHECKS: dict[str, Callable[[int, int], list[CheckResult]]] = {
+    "theorem1": lambda edges, arity: [check_plane_counts(edges), check_plane_sums(edges)],
+    "theorem2": lambda edges, arity: [
+        check_kary_counts(default_kary_cells(edges, arity)),
+        check_kary_sums(default_kary_cells(edges, arity)),
+    ],
+    "identity1": lambda edges, arity: [check_sequence_identity(edges)],
+    "fine": lambda edges, arity: [check_fine_numbers(edges)],
+    "lagrange": lambda edges, arity: check_series_identities(max_arity=max(arity, 2)),
+    "bijections": lambda edges, arity: check_bijections(
+        min(edges, 8), [(k, n) for k, n in default_kary_cells(edges, arity) if k * n <= 12]
+    ),
+}
+
+
+def run_checks(what: str, max_edges: int = 8, max_arity: int = 3) -> list[CheckResult]:
+    """Run the checks of one ``verify`` subcommand (``all``: every one)."""
+    if what != "all" and what not in CHECKS:
+        raise ValueError(f"unknown verification {what!r}")
+    if max_edges < 1 or max_arity < 1:
+        raise ValueError("--max-edges and --max-arity must be at least 1")
+    names = list(CHECKS) if what == "all" else [what]
+    return [result for name in names for result in CHECKS[name](max_edges, max_arity)]
+
+
 def verify_all(max_edges: int = 8, max_arity: int = 3) -> list[CheckResult]:
     """Run every verification sweep at the given bounds."""
-    cells = default_kary_cells(max_edges, max_arity)
-    bijection_cells = [(k, n) for k, n in cells if k * n <= 12]
-    results = [
-        check_plane_counts(max_edges),
-        check_plane_sums(max_edges),
-        check_kary_counts(cells),
-        check_kary_sums(cells),
-        check_sequence_identity(max_edges),
-        check_fine_numbers(max_edges),
-    ]
-    results.extend(check_series_identities(max_arity=max(max_arity, 2)))
-    results.extend(check_bijections(min(max_edges, 8), bijection_cells))
-    return results
+    return run_checks("all", max_edges, max_arity)

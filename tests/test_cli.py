@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from treedegree import (
     MarkedKaryTree,
@@ -217,6 +220,22 @@ class TestVerify:
             assert code == 0, what
             assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
+    def test_checks_per_subcommand(self, capsys):
+        sizes = {
+            "theorem1": 2, "theorem2": 2, "identity1": 1, "fine": 1, "lagrange": 6, "bijections": 6
+        }
+        lines = []
+        for what, size in sizes.items():
+            code, out, _ = run_cli(capsys, "verify", what, "--max-edges", "3", "--max-arity", "2")
+            assert code == 0 and len(out.splitlines()) == size, what
+            lines += out.splitlines()
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-edges", "3", "--max-arity", "2")
+        assert code == 0 and out.splitlines() == lines
+
+    def test_bounds_below_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "fine", "--max-edges", "0")
+        assert (code, out) == (2, "") and "at least 1" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "theorem1", "--max-edges", "3", "--format", "json"
@@ -288,3 +307,32 @@ class TestTable:
             capsys, "count", "plane", "-n", "2", "-i", "0", "--format", "csv"
         )
         assert code == 2
+
+
+class TestWordNative:
+    def test_deep_binary_pair_encodes(self, capsys):
+        # A left path of 3000 edges; marking the root cuts the completion
+        # word (2,)*3001 + (0,)*3002 right after its first entry.
+        depth = 3000
+        text = "( " * (depth + 1) + ". . )" + " . )" * depth
+        code, out, err = run_cli(capsys, "encode", "kary-pair", "--tree", text, "--mark", "1")
+        assert (code, err) == (0, "")
+        assert out == format_composition((2,) * depth + (0,) * (depth + 2)) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["enumerate", "plane", "-n", "8"],
+                "a2f1a404d884a7e3a6fe1f3b5e9dc6bab2d227a0a04e07174a64ba1d579a1cba",
+            ),
+            (
+                ["enumerate", "kary", "-k", "3", "-n", "4"],
+                "ae9ce6210bc0f472a70bfe529fbb85ddb3cd2256dbc49bb48ea6f0852dd9860a",
+            ),
+        ],
+    )
+    def test_enumeration_text_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ from treedegree import (
     composition_to_kary_pair,
     count_kary_outdegree,
     count_kary_outdegree_bruteforce,
+    delta_decode,
     enumerate_kary_trees,
     format_kary_tree,
     format_marked_kary_tree,
@@ -265,3 +266,50 @@ class TestTextFormat:
     @given(binary_trees())
     def test_format_roundtrip(self, tree):
         assert parse_kary_tree(format_kary_tree(tree)) == tree
+
+
+class TestDeepTrees:
+    # 10^5-vertex trees through every codec, under the default recursion limit.
+    VERTICES = 100_000
+
+    def _roundtrip(self, tree, k, marks):
+        n = self.VERTICES - 1
+        assert tree.vertex_count == self.VERTICES and tree.arity == k
+        text = format_kary_tree(tree)
+        parsed = parse_kary_tree(text, k)
+        assert parsed == tree and hash(parsed) == hash(tree)
+        assert repr(parsed) == f"KaryTree(arity={k}, word={tree.word!r})"
+        completed, index_map = complete(tree)
+        assert uncomplete(completed, k) == tree
+        assert len(index_map) == self.VERTICES
+        outdegrees = kary_preorder_outdegrees(tree)
+        for mark in marks:
+            marked = MarkedKaryTree(tree, mark)
+            assert parse_marked_kary_tree(format_marked_kary_tree(marked), k) == marked
+            word = kary_pair_to_composition(marked)
+            assert composition_to_kary_pair(word, k, n, outdegrees[mark - 1]) == marked
+            pair = phi(word, k, n)
+            assert phi_inverse(pair) == word
+
+    def test_unary_path(self):
+        text = "(" * self.VERTICES + "." + ")" * self.VERTICES
+        path = parse_kary_tree(text)
+        assert path.word == (1,) * self.VERTICES + (0,)
+        assert kary_preorder_outdegrees(path) == (1,) * (self.VERTICES - 1) + (0,)
+        self._roundtrip(path, 1, (1, self.VERTICES))
+
+    def test_ternary_caterpillar(self):
+        # Spine vertices with slots (leaf, empty, next spine vertex).
+        spine = self.VERTICES // 2
+        word = (3, 3, 0, 0, 0, 0) * spine + (0,)
+        caterpillar = uncomplete(delta_decode(word), 3)
+        assert kary_preorder_outdegrees(caterpillar)[:4] == (2, 0, 2, 0)
+        self._roundtrip(caterpillar, 3, (2, self.VERTICES - 1))
+
+
+def test_word_is_the_representation():
+    assert L2.word == (2, 0, 0) and L2.arity == 2
+    assert KaryTree(2, (L2, None)).word == (2, 2, 0, 0, 0)
+    assert repr(L3) == "KaryTree(arity=3, word=(3, 0, 0, 0))"
+    assert SAMPLE_TERNARY_8.word == SAMPLE_TERNARY_COMPLETED_WORD
+    assert KaryTree(2, [None, None]) == L2

@@ -225,3 +225,40 @@ class TestTextFormat:
     @given(plane_trees)
     def test_format_roundtrip(self, tree):
         assert parse_plane_tree(format_plane_tree(tree)) == tree
+
+
+class TestDeepTrees:
+    # A tree is its word, so nothing here recurses on depth; these run
+    # under the default recursion limit.
+    DEPTH = 100_000
+
+    def test_path_roundtrips(self):
+        text = "(" * self.DEPTH + ")" * self.DEPTH
+        path = parse_plane_tree(text)
+        word = preorder_outdegrees(path)
+        assert word == (1,) * self.DEPTH + (0,)
+        assert format_plane_tree(path) == text
+        decoded = delta_decode(word)
+        assert decoded == path and hash(decoded) == hash(path)
+        assert repr(path) == f"PlaneTree(word={word!r})"
+        for mark in (1, self.DEPTH // 2, self.DEPTH + 1):
+            marked = MarkedPlaneTree(path, mark)
+            encoded = bar_delta_encode(marked)
+            assert bar_delta_decode(encoded, word[mark - 1]) == marked
+            assert parse_marked_plane_tree(format_marked_plane_tree(marked)) == marked
+
+    def test_star_decode(self):
+        # Every entry of the word is its own unit block.
+        n = 100_000
+        star = bar_delta_decode((0,) * n, n)
+        assert star == MarkedPlaneTree(PlaneTree([LEAF] * n), 1)
+        assert preorder_outdegrees(star.tree) == (n,) + (0,) * n
+
+
+def test_word_is_the_representation():
+    assert SAMPLE_TREE_14.word == SAMPLE_WORD_14
+    assert LEAF.word == (0,) and LEAF.vertex_count == 1 and LEAF.edge_count == 0
+    assert repr(CHERRY) == "PlaneTree(word=(2, 0, 0))"
+    assert {delta_decode((2, 0, 0)), CHERRY} == {CHERRY}
+    with pytest.raises(ValueError):
+        delta_decode((2, -1))  # f-statistic is unit-shaped, but a part is negative
