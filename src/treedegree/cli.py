@@ -137,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="formula-vs-oracle sweeps")
     verify.add_argument("what", choices=[*verification.CHECKS, "all"])
-    verify.add_argument("--max-edges", type=int, default=8)
+    verify.add_argument(
+        "--max-edges", type=int, default=8,
+        help="largest edge count to sweep (lagrange runs at fixed orders)",
+    )
     verify.add_argument(
         "-k", "--arity", "--max-arity", type=int, default=3, dest="max_arity",
         help="largest arity to sweep",
@@ -154,83 +157,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+def _emit(args: argparse.Namespace, kind: str, fields: dict, text: str) -> None:
+    """Print ``text``, or with ``--format json`` one document: schema, kind, fields."""
+    if args.format == "json":
+        doc = {"schema": SCHEMA, "kind": kind, **fields}
+        print(json.dumps(doc, separators=(",", ":")))
+    else:
+        print(text)
 
 
 def _cmd_count_plane(args: argparse.Namespace) -> int:
-    value = count_plane_outdegree(args.edges, args.outdegree)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "count",
-                "family": "plane",
-                "n": str(args.edges),
-                "i": str(args.outdegree),
-                "count": str(value),
-            }
-        )
-    else:
-        print(value)
+    value = str(count_plane_outdegree(args.edges, args.outdegree))
+    fields = {"family": "plane", "n": str(args.edges), "i": str(args.outdegree), "count": value}
+    _emit(args, "count", fields, value)
     return 0
 
 
 def _cmd_count_kary(args: argparse.Namespace) -> int:
-    value = count_kary_outdegree(args.edges, args.arity, args.outdegree)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "count",
-                "family": "kary",
-                "k": str(args.arity),
-                "n": str(args.edges),
-                "i": str(args.outdegree),
-                "count": str(value),
-            }
-        )
-    else:
-        print(value)
+    value = str(count_kary_outdegree(args.edges, args.arity, args.outdegree))
+    fields = {
+        "family": "kary", "k": str(args.arity), "n": str(args.edges),
+        "i": str(args.outdegree), "count": value,
+    }
+    _emit(args, "count", fields, value)
     return 0
 
 
 def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
     trees = [format_plane_tree(t) for t in enumerate_plane_trees(args.edges)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "enumerate",
-                "family": "plane",
-                "n": str(args.edges),
-                "count": str(len(trees)),
-                "trees": trees,
-            }
-        )
-    else:
-        for line in trees:
-            print(line)
+    fields = {"family": "plane", "n": str(args.edges), "count": str(len(trees)), "trees": trees}
+    _emit(args, "enumerate", fields, "\n".join(trees))
     return 0
 
 
 def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
     trees = [format_kary_tree(t) for t in enumerate_kary_trees(args.arity, args.edges)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "enumerate",
-                "family": "kary",
-                "k": str(args.arity),
-                "n": str(args.edges),
-                "count": str(len(trees)),
-                "trees": trees,
-            }
-        )
-    else:
-        for line in trees:
-            print(line)
+    fields = {
+        "family": "kary", "k": str(args.arity), "n": str(args.edges),
+        "count": str(len(trees)), "trees": trees,
+    }
+    _emit(args, "enumerate", fields, "\n".join(trees))
     return 0
 
 
@@ -238,23 +204,11 @@ def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
     tree = parse_plane_tree(args.tree)
     if not 1 <= args.mark <= tree.vertex_count:
         raise ValueError(f"mark {args.mark} out of range 1..{tree.vertex_count}")
-    marked = MarkedPlaneTree(tree, args.mark)
-    word = bar_delta_encode(marked)
+    word = bar_delta_encode(MarkedPlaneTree(tree, args.mark))
     n = tree.edge_count
-    i = n - sum(word)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "encode",
-                "what": "plane-pair",
-                "n": str(n),
-                "i": str(i),
-                "word": format_composition(word),
-            }
-        )
-    else:
-        print(format_composition(word))
+    text = format_composition(word)
+    fields = {"what": "plane-pair", "n": str(n), "i": str(n - sum(word)), "word": text}
+    _emit(args, "encode", fields, text)
     return 0
 
 
@@ -262,54 +216,26 @@ def _cmd_encode_kary_pair(args: argparse.Namespace) -> int:
     tree = parse_kary_tree(args.tree, args.arity)
     if not 1 <= args.mark <= tree.vertex_count:
         raise ValueError(f"mark {args.mark} out of range 1..{tree.vertex_count}")
-    word = kary_pair_to_composition(MarkedKaryTree(tree, args.mark))
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "encode",
-                "what": "kary-pair",
-                "k": str(tree.arity),
-                "n": str(tree.edge_count),
-                "word": format_composition(word),
-            }
-        )
-    else:
-        print(format_composition(word))
+    text = format_composition(kary_pair_to_composition(MarkedKaryTree(tree, args.mark)))
+    fields = {"what": "kary-pair", "k": str(tree.arity), "n": str(tree.edge_count), "word": text}
+    _emit(args, "encode", fields, text)
     return 0
 
 
 def _cmd_encode_subsets(args: argparse.Namespace) -> int:
-    word = parse_composition(args.word)
-    pair = phi(word, args.arity, args.edges)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "encode",
-                "what": "subsets",
-                "pair": json.loads(pair.to_json()),
-            }
-        )
-    else:
-        print(pair.to_json())
+    pair = phi(parse_composition(args.word), args.arity, args.edges)
+    text = pair.to_json()
+    _emit(args, "encode", {"what": "subsets", "pair": json.loads(text)}, text)
     return 0
 
 
 def _cmd_decode_plane(args: argparse.Namespace) -> int:
     word = parse_composition(args.word)
     if args.outdegree is None:
-        tree = delta_decode(word)
-        rendered = format_plane_tree(tree)
+        rendered = format_plane_tree(delta_decode(word))
     else:
-        marked = bar_delta_decode(word, args.outdegree)
-        rendered = format_marked_plane_tree(marked)
-    if args.format == "json":
-        _emit_json(
-            {"schema": SCHEMA, "kind": "decode", "what": "plane", "tree": rendered}
-        )
-    else:
-        print(rendered)
+        rendered = format_marked_plane_tree(bar_delta_decode(word, args.outdegree))
+    _emit(args, "decode", {"what": "plane", "tree": rendered}, rendered)
     return 0
 
 
@@ -320,14 +246,8 @@ def _cmd_decode_plane_pair(args: argparse.Namespace) -> int:
         raise ValueError(f"word sum exceeds its length: {args.word!r}")
     if args.outdegree is not None and args.outdegree != derived:
         raise ValueError(f"word encodes outdegree {derived}, expected {args.outdegree}")
-    marked = bar_delta_decode(word, derived)
-    rendered = format_marked_plane_tree(marked)
-    if args.format == "json":
-        _emit_json(
-            {"schema": SCHEMA, "kind": "decode", "what": "plane-pair", "tree": rendered}
-        )
-    else:
-        print(rendered)
+    rendered = format_marked_plane_tree(bar_delta_decode(word, derived))
+    _emit(args, "decode", {"what": "plane-pair", "tree": rendered}, rendered)
     return 0
 
 
@@ -335,12 +255,7 @@ def _cmd_decode_kary_pair(args: argparse.Namespace) -> int:
     word = parse_composition(args.word)
     marked = composition_to_kary_pair(word, args.arity, args.edges, args.outdegree)
     rendered = format_marked_kary_tree(marked)
-    if args.format == "json":
-        _emit_json(
-            {"schema": SCHEMA, "kind": "decode", "what": "kary-pair", "tree": rendered}
-        )
-    else:
-        print(rendered)
+    _emit(args, "decode", {"what": "kary-pair", "tree": rendered}, rendered)
     return 0
 
 
@@ -365,45 +280,25 @@ def _cmd_decode_subsets(args: argparse.Namespace) -> int:
         _parse_subset(args.X, "--X"),
         _parse_subset(args.Y, "--Y"),
     )
-    word = phi_inverse(pair)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "decode",
-                "what": "subsets",
-                "word": format_composition(word),
-            }
-        )
-    else:
-        print(format_composition(word))
+    text = format_composition(phi_inverse(pair))
+    _emit(args, "decode", {"what": "subsets", "word": text}, text)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verification.run_checks(args.what, args.max_edges, args.max_arity)
     ok = all(r.passed for r in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "kind": "verify",
-                "what": args.what,
-                "ok": ok,
-                "checks": [
-                    {
-                        "name": r.name,
-                        "scope": r.scope,
-                        "status": "pass" if r.passed else "fail",
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-            }
-        )
-    else:
-        for r in results:
-            print(r.line())
+    checks = [
+        {
+            "name": r.name,
+            "scope": r.scope,
+            "status": "pass" if r.passed else "fail",
+            "detail": r.detail,
+        }
+        for r in results
+    ]
+    fields = {"what": args.what, "ok": ok, "checks": checks}
+    _emit(args, "verify", fields, "\n".join(r.line() for r in results))
     return 0 if ok else 1
 
 
@@ -423,30 +318,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
         cell = lambda i, n: count_kary_outdegree(n, args.arity, i)  # noqa: E731
         family = "kary"
     matrix = [[cell(i, n) for n in columns] for i in rows]
-    if args.format == "json":
-        doc: dict = {"schema": SCHEMA, "kind": "table", "family": family}
-        if args.arity is not None:
-            doc["k"] = str(args.arity)
-        doc["columns"] = [str(n) for n in columns]
-        doc["rows"] = [
-            {"i": str(i), "counts": [str(v) for v in row]}
-            for i, row in zip(rows, matrix)
-        ]
-        _emit_json(doc)
-    elif args.format == "csv":
+    if args.format == "csv":
         print("i/n," + ",".join(str(n) for n in columns))
         for i, row in zip(rows, matrix):
             print(f"{i}," + ",".join(str(v) for v in row))
-    else:
-        headers = ["i\\n"] + [str(n) for n in columns]
-        str_rows = [[str(i)] + [str(v) for v in row] for i, row in zip(rows, matrix)]
-        widths = [
-            max(len(headers[c]), *(len(r[c]) for r in str_rows))
-            for c in range(len(headers))
-        ]
-        print("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        for r in str_rows:
-            print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
+        return 0
+    fields: dict = {"family": family}
+    if args.arity is not None:
+        fields["k"] = str(args.arity)
+    fields["columns"] = [str(n) for n in columns]
+    fields["rows"] = [
+        {"i": str(i), "counts": [str(v) for v in row]} for i, row in zip(rows, matrix)
+    ]
+    headers = ["i\\n"] + [str(n) for n in columns]
+    str_rows = [[str(i)] + [str(v) for v in row] for i, row in zip(rows, matrix)]
+    widths = [
+        max(len(headers[c]), *(len(r[c]) for r in str_rows))
+        for c in range(len(headers))
+    ]
+    lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in [headers, *str_rows]]
+    _emit(args, "table", fields, "\n".join(lines))
     return 0
 
 

@@ -12,7 +12,7 @@ that factorization greedily.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -119,20 +119,18 @@ def parse_composition(text: str) -> Composition:
 
 
 def enumerate_compositions(total: int, length: int) -> Iterator[Composition]:
-    """All compositions of ``total`` into exactly ``length`` parts, lexicographically."""
+    """All compositions of ``total`` into exactly ``length`` parts, lexicographically.
+
+    Stars and bars: the ``length - 1`` bars sit among ``total + length - 1``
+    places, and bar positions in lexicographic order give the parts in
+    lexicographic order.
+    """
     if total < 0 or length < 0:
         raise ValueError("total and length must be nonnegative")
-
-    def rec(remaining: int, slots: int) -> Iterator[Composition]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(total, length)
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    places = total + length - 1
+    for bars in combinations(range(places), length - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))

@@ -176,7 +176,15 @@ def kary_word_parameters(
     structure"): the fundamental decomposition has at least k unit blocks;
     i counts how many of the first k begin with k.
     """
-    word = tuple(word)
+    k, n, units, _tail = _kary_word_structure(tuple(word), arity)
+    return k, n, sum(1 for unit in units[:k] if unit[0] == k)
+
+
+def _kary_word_structure(
+    word: Composition, arity: int | None
+) -> tuple[int, int, tuple[Composition, ...], Composition]:
+    # The checks of kary_word_parameters; returns (k, n) and the word's
+    # fundamental decomposition.
     if not word:
         raise ValueError("entry shape: word is empty")
     if any(part < 0 for part in word):
@@ -205,13 +213,12 @@ def kary_word_parameters(
             f"entry shape: expected {n} copies of {k} in a word of length {len(word)}, "
             f"found {k_count}"
         )
-    units, _tail = fundamental_decomposition(word)
+    units, tail = fundamental_decomposition(word)
     if len(units) < k:
         raise ValueError(
             f"block structure: expected at least {k} unit blocks, found {len(units)}"
         )
-    i = sum(1 for unit in units[:k] if unit[0] == k)
-    return k, n, i
+    return k, n, units, tail
 
 
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
@@ -279,10 +286,9 @@ def phi(
     entries remaining in beta.
     """
     word = tuple(word)
-    k, n, i = kary_word_parameters(word, arity)
+    k, n, units, tail = _kary_word_structure(word, arity)
     if edges is not None and edges != n:
         raise ValueError(f"word encodes n={n}, expected {edges}")
-    units, tail = fundamental_decomposition(word)
     x = frozenset(j + 1 for j in range(k) if units[j][0] == k)
     beta: list[int] = []
     for unit in units[:k]:
@@ -291,6 +297,7 @@ def phi(
         beta.extend(unit)
     beta.extend(tail)
     y = frozenset(pos + 1 for pos, part in enumerate(beta) if part != 0)
+    i = sum(1 for unit in units[:k] if unit[0] == k)
     if len(beta) != k * n or len(x) != i or len(x) + len(y) != n:
         raise AssertionError(
             f"subset extraction out of balance for {word!r}: "

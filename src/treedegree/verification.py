@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import exact_math
-from .compositions import enumerate_compositions, is_unit
+from .compositions import Composition, enumerate_compositions
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
     MarkedKaryTree,
@@ -324,157 +324,137 @@ def _check_kary_derivative(max_arity: int, order: int) -> CheckResult:
 def check_bijections(
     max_edges: int = 8, cells: Iterable[tuple[int, int]] = ((2, 4), (3, 3), (4, 2))
 ) -> list[CheckResult]:
-    cells = list(cells)
+    """Run the paper's bijections as round trips over every tree in range.
+
+    One enumeration pass per plane size and per k-ary cell feeds all the
+    checks of that family; each check reports its first failure in sweep
+    order.
+    """
+    return _plane_bijections(max_edges) + _kary_bijections(list(cells))
+
+
+def _results(checks: list[tuple[str, str]], failures: dict[str, str]) -> list[CheckResult]:
     return [
-        _check_plane_word_roundtrip(max_edges),
-        _check_marked_word_roundtrip(max_edges),
-        _check_marked_word_surjectivity(max_edges),
-        _check_completion_roundtrip(cells),
-        _check_subset_roundtrip(cells),
-        _check_subset_cardinality(cells),
+        CheckResult(name, scope, name not in failures, failures.get(name, ""))
+        for name, scope in checks
     ]
 
 
-def _check_plane_word_roundtrip(max_edges: int) -> CheckResult:
-    name = "plane tree <-> outdegree word round trip"
-    scope = f"n=0..{max_edges}"
+def _plane_bijections(max_edges: int) -> list[CheckResult]:
+    word_trip = "plane tree <-> outdegree word round trip"
+    marked_trip = "marked plane tree <-> cyclic word round trip"
+    cover = "cyclic words cover all compositions exactly once"
+    failures: dict[str, str] = {}
     for n in range(0, max_edges + 1):
+        seen: dict[int, list[Composition]] = {i: [] for i in range(n + 1)}
         for tree in enumerate_plane_trees(n):
             word = preorder_outdegrees(tree)
-            if not is_unit(word):
-                return CheckResult(
-                    name, scope, False, f"word {word!r} is not a unit composition"
-                )
-            if delta_decode(word) != tree:
-                return CheckResult(
-                    name, scope, False, f"decode(encode) changed a tree at n={n}"
-                )
-    return CheckResult(name, scope, True)
-
-
-def _check_marked_word_roundtrip(max_edges: int) -> CheckResult:
-    name = "marked plane tree <-> cyclic word round trip"
-    scope = f"n=1..{max_edges}, all marks"
-    for n in range(1, max_edges + 1):
-        for tree in enumerate_plane_trees(n):
-            word = preorder_outdegrees(tree)
-            for mark in range(1, len(word) + 1):
+            try:
+                if delta_decode(word) != tree:
+                    failures.setdefault(word_trip, f"decode(encode) changed a tree at n={n}")
+            except ValueError:
+                failures.setdefault(word_trip, f"word {word!r} is not a unit composition")
+            # The single vertex (n = 0) has an empty cyclic word: no marks.
+            for mark in range(1, len(word) + 1) if n else ():
                 marked = MarkedPlaneTree(tree, mark)
-                encoded = bar_delta_encode(marked)
                 try:
+                    encoded = bar_delta_encode(marked)
+                    seen[word[mark - 1]].append(encoded)
                     decoded = bar_delta_decode(encoded, word[mark - 1])
-                except AssertionError as exc:
-                    return CheckResult(name, scope, False, str(exc))
+                except (AssertionError, ValueError) as exc:
+                    failures.setdefault(marked_trip, str(exc))
+                    continue
                 if decoded != marked:
-                    return CheckResult(
-                        name, scope, False,
-                        f"round trip failed at n={n}, mark={mark}",
-                    )
-    return CheckResult(name, scope, True)
+                    failures.setdefault(marked_trip, f"round trip failed at n={n}, mark={mark}")
+        if n and cover not in failures:
+            detail = _cover_failure(n, seen)
+            if detail:
+                failures[cover] = detail
+    return _results(
+        [
+            (word_trip, f"n=0..{max_edges}"),
+            (marked_trip, f"n=1..{max_edges}, all marks"),
+            (cover, f"n=1..{max_edges}, i=0..n"),
+        ],
+        failures,
+    )
 
 
-def _check_marked_word_surjectivity(max_edges: int) -> CheckResult:
-    name = "cyclic words cover all compositions exactly once"
-    scope = f"n=1..{max_edges}, i=0..n"
-    for n in range(1, max_edges + 1):
-        seen: dict[int, list] = {i: [] for i in range(n + 1)}
-        for tree in enumerate_plane_trees(n):
-            word = preorder_outdegrees(tree)
-            for mark in range(1, len(word) + 1):
-                seen[word[mark - 1]].append(
-                    bar_delta_encode(MarkedPlaneTree(tree, mark))
-                )
-        for i in range(0, n + 1):
-            encodings = seen[i]
-            expected = count_plane_outdegree(n, i)
-            if len(encodings) != expected:
-                return CheckResult(
-                    name, scope, False,
-                    f"n={n} i={i}: {len(encodings)} marked pairs, formula {expected}",
-                )
-            unique = set(encodings)
-            if len(unique) != len(encodings):
-                return CheckResult(
-                    name, scope, False, f"n={n} i={i}: duplicate encodings"
-                )
-            full = set(enumerate_compositions(n - i, n))
-            if unique != full:
-                return CheckResult(
-                    name, scope, False,
-                    f"n={n} i={i}: image misses {len(full - unique)} compositions",
-                )
-    return CheckResult(name, scope, True)
+def _cover_failure(n: int, seen: dict[int, list[Composition]]) -> str:
+    # The encodings of n-edge marked trees, by marked outdegree i, against
+    # the n-part compositions of n - i: same count, no repeats, same set.
+    for i in range(0, n + 1):
+        encodings = seen[i]
+        expected = count_plane_outdegree(n, i)
+        if len(encodings) != expected:
+            return f"n={n} i={i}: {len(encodings)} marked pairs, formula {expected}"
+        unique = set(encodings)
+        if len(unique) != len(encodings):
+            return f"n={n} i={i}: duplicate encodings"
+        full = set(enumerate_compositions(n - i, n))
+        if unique != full:
+            return f"n={n} i={i}: image misses {len(full - unique)} compositions"
+    return ""
 
 
-def _check_completion_roundtrip(cells: list[tuple[int, int]]) -> CheckResult:
-    name = "k-ary completion round trip"
-    scope = _cells_scope(cells)
+def _kary_bijections(cells: list[tuple[int, int]]) -> list[CheckResult]:
+    completion = "k-ary completion round trip"
+    subsets = "marked k-ary tree <-> word <-> subsets round trip"
+    cardinality = "marked pairs per outdegree match subset counts"
+    failures: dict[str, str] = {}
     for k, n in cells:
+        # Each phi image as sorted (X, Y): a SubsetPair with its two
+        # frozensets takes about 1 kB, and a cell can have thousands.
+        images: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         for tree in enumerate_kary_trees(k, n):
             completed, index_map = complete(tree)
+            completed_word = preorder_outdegrees(completed)
             if uncomplete(completed, k) != tree:
-                return CheckResult(
-                    name, scope, False, f"k={k} n={n}: uncomplete(complete) changed a tree"
+                failures.setdefault(
+                    completion, f"k={k} n={n}: uncomplete(complete) changed a tree"
                 )
-            if list(index_map) != sorted(index_map) or len(index_map) != tree.vertex_count:
-                return CheckResult(
-                    name, scope, False, f"k={k} n={n}: preorder index map malformed"
-                )
-            word = preorder_outdegrees(completed)
-            if any(word[j - 1] != k for j in index_map):
-                return CheckResult(
-                    name, scope, False,
+            elif list(index_map) != sorted(index_map) or len(index_map) != tree.vertex_count:
+                failures.setdefault(completion, f"k={k} n={n}: preorder index map malformed")
+            elif any(completed_word[j - 1] != k for j in index_map):
+                failures.setdefault(
+                    completion,
                     f"k={k} n={n}: an original vertex is not internal in the completion",
                 )
-    return CheckResult(name, scope, True)
-
-
-def _check_subset_roundtrip(cells: list[tuple[int, int]]) -> CheckResult:
-    name = "marked k-ary tree <-> word <-> subsets round trip"
-    scope = _cells_scope(cells)
-    for k, n in cells:
-        for tree in enumerate_kary_trees(k, n):
             outdegrees = kary_preorder_outdegrees(tree)
             for mark in range(1, tree.vertex_count + 1):
                 marked = MarkedKaryTree(tree, mark)
                 try:
                     word = kary_pair_to_composition(marked)
-                    decoded = composition_to_kary_pair(
-                        word, k, n, outdegrees[mark - 1]
-                    )
+                    decoded = composition_to_kary_pair(word, k, n, outdegrees[mark - 1])
                     pair = phi(word, k, n)
+                    images.add((tuple(sorted(pair.X)), tuple(sorted(pair.Y))))
                     rebuilt = phi_inverse(pair)
                 except (AssertionError, ValueError) as exc:
-                    return CheckResult(name, scope, False, str(exc))
+                    failures.setdefault(subsets, str(exc))
+                    continue
                 if decoded != marked:
-                    return CheckResult(
-                        name, scope, False,
-                        f"k={k} n={n} mark={mark}: word decode mismatch",
+                    failures.setdefault(
+                        subsets, f"k={k} n={n} mark={mark}: word decode mismatch"
                     )
-                if rebuilt != word:
-                    return CheckResult(
-                        name, scope, False,
-                        f"k={k} n={n} mark={mark}: subset round trip mismatch",
+                elif rebuilt != word:
+                    failures.setdefault(
+                        subsets, f"k={k} n={n} mark={mark}: subset round trip mismatch"
                     )
-    return CheckResult(name, scope, True)
-
-
-def _check_subset_cardinality(cells: list[tuple[int, int]]) -> CheckResult:
-    name = "marked pairs per outdegree match subset counts"
-    scope = _cells_scope(cells)
-    for k, n in cells:
-        per_outdegree: Counter[int] = Counter()
-        for tree in enumerate_kary_trees(k, n):
-            per_outdegree.update(kary_preorder_outdegrees(tree))
+        # Distinct images with |X| = i against all subset pairs with |X| = i:
+        # equal counts make phi onto them.
+        per_size = Counter(len(x) for x, _ in images)
         for i in range(0, k + 1):
             expected = binomial(k, i) * binomial(k * n, n - i)
-            if per_outdegree.get(i, 0) != expected:
-                return CheckResult(
-                    name, scope, False,
-                    f"k={k} n={n} i={i}: {per_outdegree.get(i, 0)} pairs, "
-                    f"subset count {expected}",
+            if per_size[i] != expected:
+                failures.setdefault(
+                    cardinality,
+                    f"k={k} n={n} i={i}: {per_size[i]} pairs, subset count {expected}",
                 )
-    return CheckResult(name, scope, True)
+                break
+    scope = _cells_scope(cells)
+    return _results(
+        [(completion, scope), (subsets, scope), (cardinality, scope)], failures
+    )
 
 
 def _cells_scope(cells: Sequence[tuple[int, int]]) -> str:
@@ -495,7 +475,7 @@ CHECKS: dict[str, Callable[[int, int], list[CheckResult]]] = {
     ],
     "identity1": lambda edges, arity: [check_sequence_identity(edges)],
     "fine": lambda edges, arity: [check_fine_numbers(edges)],
-    "lagrange": lambda edges, arity: check_series_identities(max_arity=max(arity, 2)),
+    "lagrange": lambda edges, arity: check_series_identities(max_arity=arity),
     "bijections": lambda edges, arity: check_bijections(
         min(edges, 8), [(k, n) for k, n in default_kary_cells(edges, arity) if k * n <= 12]
     ),

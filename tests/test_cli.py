@@ -232,6 +232,37 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "all", "--max-edges", "3", "--max-arity", "2")
         assert code == 0 and out.splitlines() == lines
 
+    def test_lagrange_runs_at_the_given_arity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "lagrange", "--max-arity", "1")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 6
+        assert all(line.startswith("PASS") for line in lines)
+        arity_scopes = [line for line in lines if "k=1.." in line]
+        assert len(arity_scopes) == 3
+        assert all("k=1..1," in line or "k=1..1]" in line for line in arity_scopes)
+
+    @pytest.mark.parametrize(
+        "bounds, fmt, digest",
+        [
+            ([], "text", "aaaa09b08f6846a46c16327eea9b92de035efc8d1ed3006630f50c06dc10b1e3"),
+            ([], "json", "551246760ee15e35c24db3cdb8548f8db96505fff79665e28639b5046f90031b"),
+            (
+                ["--max-edges", "10", "--max-arity", "4"],
+                "text",
+                "be64e5ff3b205cf4cbbdbf367bed8786d6156fe665ddfb6e6185f4945e259976",
+            ),
+            (
+                ["--max-edges", "10", "--max-arity", "4"],
+                "json",
+                "a7eae87edeb80d040843514e99ef6f27e3e741dd146430ccaf1b1286249e3b71",
+            ),
+        ],
+    )
+    def test_verify_all_is_pinned(self, capsys, bounds, fmt, digest):
+        code, out, _ = run_cli(capsys, "verify", "all", *bounds, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bounds_below_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "fine", "--max-edges", "0")
         assert (code, out) == (2, "") and "at least 1" in err

@@ -133,8 +133,8 @@ def test_parse_rejects_malformed(bad):
 def test_enumerate_compositions_counts():
     from treedegree import binomial
 
-    for total in range(0, 7):
-        for length in range(0, 6):
+    for total in range(0, 8):
+        for length in range(0, 7):
             words = list(enumerate_compositions(total, length))
             if length:
                 assert len(words) == binomial(total + length - 1, length - 1)

@@ -313,3 +313,19 @@ def test_word_is_the_representation():
     assert repr(L3) == "KaryTree(arity=3, word=(3, 0, 0, 0))"
     assert SAMPLE_TERNARY_8.word == SAMPLE_TERNARY_COMPLETED_WORD
     assert KaryTree(2, [None, None]) == L2
+
+
+def test_phi_decomposes_the_word_once(monkeypatch):
+    import treedegree.kary_trees as kary_trees
+
+    calls = []
+    honest = kary_trees.fundamental_decomposition
+
+    def counting(word):
+        calls.append(word)
+        return honest(word)
+
+    monkeypatch.setattr(kary_trees, "fundamental_decomposition", counting)
+    pair = phi(SAMPLE_TERNARY_ALPHA)
+    assert (pair.X, pair.Y) == (SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)
+    assert calls == [SAMPLE_TERNARY_ALPHA]

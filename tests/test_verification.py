@@ -1,0 +1,105 @@
+"""The bijection checks: one enumeration pass per family and size feeds
+all six, and each still fails under a fault in what it checks."""
+
+from collections import Counter
+
+import pytest
+
+from treedegree import MarkedPlaneTree, SubsetPair, kary_leaf, verification
+
+WORD_TRIP = "plane tree <-> outdegree word round trip"
+MARKED_TRIP = "marked plane tree <-> cyclic word round trip"
+COVER = "cyclic words cover all compositions exactly once"
+COMPLETION = "k-ary completion round trip"
+SUBSETS = "marked k-ary tree <-> word <-> subsets round trip"
+CARDINALITY = "marked pairs per outdegree match subset counts"
+NAMES = [WORD_TRIP, MARKED_TRIP, COVER, COMPLETION, SUBSETS, CARDINALITY]
+
+MAX_EDGES = 5
+CELLS = [(1, 4), (2, 3), (3, 2)]
+
+
+def test_one_enumeration_per_family_and_size(monkeypatch):
+    calls = Counter()
+
+    def counting(family, enumerate_trees):
+        def wrapper(*size):
+            calls[(family, *size)] += 1
+            return enumerate_trees(*size)
+
+        return wrapper
+
+    for family, attr in (("plane", "enumerate_plane_trees"), ("kary", "enumerate_kary_trees")):
+        monkeypatch.setattr(verification, attr, counting(family, getattr(verification, attr)))
+    results = verification.check_bijections(MAX_EDGES, CELLS)
+    assert [r.name for r in results] == NAMES and all(r.passed for r in results)
+    expected = Counter({("plane", n): 1 for n in range(MAX_EDGES + 1)})
+    expected.update(("kary", k, n) for k, n in CELLS)
+    assert calls == expected
+
+
+def _path_for_large(honest):
+    # Decodes every word of 4 or more entries to the path of that size.
+    return lambda word: honest(word if len(word) < 4 else (1,) * (len(word) - 1) + (0,))
+
+
+def _reverse_encoding(honest):
+    return lambda marked: honest(marked)[::-1]
+
+
+def _shift_mark(honest):
+    def decode(word, i):
+        tree, mark = honest(word, i)
+        return MarkedPlaneTree(tree, mark % tree.vertex_count + 1)
+
+    return decode
+
+
+def _first_tree_twice(honest):
+    def enumerate_trees(n):
+        trees = list(honest(n))
+        return [trees[0], *trees]
+
+    return enumerate_trees
+
+
+def _leaf_for_all(honest):
+    return lambda completed, k: kary_leaf(k)
+
+
+def _mirror_y(honest):
+    def compress(word, k, n):
+        pair = honest(word, k, n)
+        return SubsetPair(k, n, pair.X, frozenset(k * n + 1 - y for y in pair.Y))
+
+    return compress
+
+
+def _reverse_word(honest):
+    return lambda pair: honest(pair)[::-1]
+
+
+def _off_subset_count(honest):
+    return lambda top, bottom: honest(top, bottom) + ((top, bottom) == (3, 1))
+
+
+@pytest.mark.parametrize(
+    "attr, fault, failing",
+    [
+        ("delta_decode", _path_for_large, {WORD_TRIP}),
+        ("bar_delta_encode", _reverse_encoding, {MARKED_TRIP}),
+        ("bar_delta_decode", _shift_mark, {MARKED_TRIP}),
+        ("enumerate_plane_trees", _first_tree_twice, {COVER}),
+        ("uncomplete", _leaf_for_all, {COMPLETION}),
+        ("phi", _mirror_y, {SUBSETS}),
+        ("phi_inverse", _reverse_word, {SUBSETS}),
+        ("binomial", _off_subset_count, {CARDINALITY}),
+    ],
+)
+def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
+    monkeypatch.setattr(verification, attr, fault(getattr(verification, attr)))
+    results = verification.check_bijections(MAX_EDGES, CELLS)
+    assert [r.name for r in results] == NAMES
+    assert {r.name for r in results if not r.passed} == failing
+    assert all(r.detail for r in results if not r.passed)
+    assert all(r.line().startswith("FAIL") for r in results if r.name in failing)
