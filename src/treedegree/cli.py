@@ -138,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="formula-vs-oracle sweeps")
     verify.add_argument("what", choices=[*verification.CHECKS, "all"])
     verify.add_argument(
-        "--max-edges", type=int, default=8,
+        "--max-edges", type=int, default=verification.DEFAULT_MAX_EDGES,
         help="largest edge count to sweep (lagrange runs at fixed orders)",
     )
     verify.add_argument(
-        "-k", "--arity", "--max-arity", type=int, default=3, dest="max_arity",
-        help="largest arity to sweep",
+        "-k", "--arity", "--max-arity", dest="max_arity", type=int,
+        default=verification.DEFAULT_MAX_ARITY, help="largest arity to sweep",
     )
     _add_format(verify)
     verify.set_defaults(func=_cmd_verify)
@@ -202,8 +202,6 @@ def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
 
 def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
     tree = parse_plane_tree(args.tree)
-    if not 1 <= args.mark <= tree.vertex_count:
-        raise ValueError(f"mark {args.mark} out of range 1..{tree.vertex_count}")
     word = bar_delta_encode(MarkedPlaneTree(tree, args.mark))
     n = tree.edge_count
     text = format_composition(word)
@@ -214,8 +212,6 @@ def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
 
 def _cmd_encode_kary_pair(args: argparse.Namespace) -> int:
     tree = parse_kary_tree(args.tree, args.arity)
-    if not 1 <= args.mark <= tree.vertex_count:
-        raise ValueError(f"mark {args.mark} out of range 1..{tree.vertex_count}")
     text = format_composition(kary_pair_to_composition(MarkedKaryTree(tree, args.mark)))
     fields = {"what": "kary-pair", "k": str(tree.arity), "n": str(tree.edge_count), "word": text}
     _emit(args, "encode", fields, text)

@@ -265,14 +265,12 @@ def composition_to_kary_pair(
         raise ValueError(f"word encodes outdegree i={derived_i}, expected {i}")
     completed_marked = bar_delta_decode(word, derived_k)
     tree = uncomplete(completed_marked.tree, derived_k)
-    _, index_map = complete(tree)
-    try:
-        mark = index_map.index(completed_marked.mark) + 1
-    except ValueError:
-        raise AssertionError(
-            f"decoded mark {completed_marked.mark} does not land on an internal vertex"
-        ) from None
-    return MarkedKaryTree(tree, mark)
+    # The completion's word is tree.word, and its internal vertices are the
+    # tree's own: the mark is their count up to the decoded position.
+    position = completed_marked.mark
+    if not tree.word[position - 1]:
+        raise AssertionError(f"decoded mark {position} does not land on an internal vertex")
+    return MarkedKaryTree(tree, position - tree.word[:position].count(0))
 
 
 def phi(

@@ -202,6 +202,17 @@ class TestEncodeDecode:
         code, _, err = run_cli(capsys, "decode", "plane", "--word", "(2,0)")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "family, tree, vertices",
+        [("plane-pair", "(())()", 4), ("kary-pair", "( ( . . ) . )", 2)],
+    )
+    @pytest.mark.parametrize("outside", [0, 1])
+    def test_mark_out_of_range_exits_2(self, capsys, family, tree, vertices, outside):
+        mark = 0 if outside == 0 else vertices + 1
+        code, out, err = run_cli(capsys, "encode", family, "--tree", tree, "--mark", str(mark))
+        assert (code, out) == (2, "")
+        assert err == f"error: mark {mark} out of range 1..{vertices}\n"
+
 
 class TestVerify:
     def test_all_passes(self, capsys):

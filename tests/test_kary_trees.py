@@ -329,3 +329,17 @@ def test_phi_decomposes_the_word_once(monkeypatch):
     pair = phi(SAMPLE_TERNARY_ALPHA)
     assert (pair.X, pair.Y) == (SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)
     assert calls == [SAMPLE_TERNARY_ALPHA]
+
+
+def test_word_decode_moves_the_mark_without_completing(monkeypatch):
+    import treedegree.kary_trees as kary_trees
+
+    marked = [MarkedKaryTree(SAMPLE_TERNARY_8, mark) for mark in range(1, 10)]
+    words = [kary_pair_to_composition(m) for m in marked]
+    assert words[SAMPLE_TERNARY_MARK - 1] == SAMPLE_TERNARY_ALPHA
+
+    def refuse(tree):
+        raise AssertionError("complete called")
+
+    monkeypatch.setattr(kary_trees, "complete", refuse)
+    assert [composition_to_kary_pair(word) for word in words] == marked

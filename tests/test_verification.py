@@ -1,11 +1,13 @@
-"""The bijection checks: one enumeration pass per family and size feeds
-all six, and each still fails under a fault in what it checks."""
+"""The verification runner and the bijection checks: one enumeration pass
+per family and size feeds all six bijection checks, each still fails under
+a fault in what it checks, and a failure inside a sweep is a FAIL line."""
 
 from collections import Counter
 
 import pytest
 
 from treedegree import MarkedPlaneTree, SubsetPair, kary_leaf, verification
+from treedegree.cli import main
 
 WORD_TRIP = "plane tree <-> outdegree word round trip"
 MARKED_TRIP = "marked plane tree <-> cyclic word round trip"
@@ -103,3 +105,38 @@ def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
     assert {r.name for r in results if not r.passed} == failing
     assert all(r.detail for r in results if not r.passed)
     assert all(r.line().startswith("FAIL") for r in results if r.name in failing)
+
+
+def test_inexact_division_is_a_fail_line(monkeypatch, capsys):
+    honest = verification.binomial
+    # C(6, 2) + 1 = 16 makes the k=2, n=2 tree count 16 / 3.
+    off = lambda top, bottom: honest(top, bottom) + ((top, bottom) == (6, 2))  # noqa: E731
+    monkeypatch.setattr(verification, "binomial", off)
+    results = verification.run_checks("all", 3, 2)
+    assert len(results) == 18
+    [counts] = [r for r in results if r.name == "k-ary outdegree counts vs exhaustive enumeration"]
+    assert not counts.passed
+    assert counts.detail == "k-ary tree count: 16 is not divisible by 3"
+    assert main(["verify", "all", "--max-edges", "3", "--max-arity", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 18 and f"FAIL {counts.name} [{counts.scope}]: {counts.detail}" in lines
+
+
+def test_guard_still_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("TREEDEGREE_GUARD", "2")
+    assert main(["verify", "fine", "--max-edges", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "plane-tree enumeration exceeds the enumeration guard (3 > 2)" in err
+
+
+def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
+    # An AssertionError outside the per-mark loops ends the k-ary pass: the
+    # checks that had not failed yet cannot pass.
+    def broken(k, n):
+        raise AssertionError("enumeration self-check")
+
+    monkeypatch.setattr(verification, "enumerate_kary_trees", broken)
+    results = verification.check_bijections(MAX_EDGES, CELLS)
+    assert [r.passed for r in results] == [True, True, True, False, False, False]
+    assert {r.detail for r in results[3:]} == {"enumeration self-check"}
