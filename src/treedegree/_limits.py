@@ -4,7 +4,7 @@ Exhaustive sweeps grow like Catalan numbers, so every enumerating entry
 point checks a small size limit first. The ``TREEDEGREE_GUARD`` environment
 variable (a single nonnegative integer) replaces all default limits at
 call time; it is a safety valve for deliberate large runs, not a tuning
-knob.
+knob. A refusal or a malformed value raises :class:`GuardError`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ KARY_EDGE_LIMIT = 24
 SEQUENCE_LIMIT = 30
 
 
+class GuardError(ValueError):
+    """A guard refused a size, or a guard value or sweep bound is malformed."""
+
+
 def guard_limit(default: int) -> int:
     raw = os.environ.get(GUARD_ENV)
     if raw is None:
@@ -27,16 +31,16 @@ def guard_limit(default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
+        raise GuardError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{GUARD_ENV} must be nonnegative, got {value}")
+        raise GuardError(f"{GUARD_ENV} must be nonnegative, got {value}")
     return value
 
 
 def check_guard(label: str, cost: int, default: int) -> None:
     limit = guard_limit(default)
     if cost > limit:
-        raise ValueError(
+        raise GuardError(
             f"{label} exceeds the enumeration guard ({cost} > {limit}); "
             f"set {GUARD_ENV} to raise the limit"
         )

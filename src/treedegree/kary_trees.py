@@ -18,6 +18,9 @@ k entries sit after those block leaders are deleted (:func:`phi` /
 :func:`phi_inverse`). The subset pair is the counting-friendly form: for
 a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
+
+Each of the four codec functions validates its input, then runs a private
+core on the word's validated structure or a built word; the core self-checks.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .compositions import (
 from .plane_trees import (
     MarkedPlaneTree,
     PlaneTree,
+    _bar_delta_decode,
     _plane_tree,
-    bar_delta_decode,
     bar_delta_encode,
 )
 
@@ -176,15 +179,15 @@ def kary_word_parameters(
     structure"): the fundamental decomposition has at least k unit blocks;
     i counts how many of the first k begin with k.
     """
-    k, n, units, _tail = _kary_word_structure(tuple(word), arity)
-    return k, n, sum(1 for unit in units[:k] if unit[0] == k)
+    return _kary_word_structure(tuple(word), arity)[:3]
 
 
-def _kary_word_structure(
-    word: Composition, arity: int | None
-) -> tuple[int, int, tuple[Composition, ...], Composition]:
-    # The checks of kary_word_parameters; returns (k, n) and the word's
-    # fundamental decomposition.
+# A validated word's (k, n, i) and fundamental decomposition: the codec cores' input.
+_WordStructure = tuple[int, int, int, tuple[Composition, ...], Composition]
+
+
+def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure:
+    # The checks of kary_word_parameters.
     if not word:
         raise ValueError("entry shape: word is empty")
     if any(part < 0 for part in word):
@@ -218,29 +221,36 @@ def _kary_word_structure(
         raise ValueError(
             f"block structure: expected at least {k} unit blocks, found {len(units)}"
         )
-    return k, n, units, tail
+    return k, n, sum(1 for unit in units[:k] if unit[0] == k), units, tail
 
 
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
     """Encode a marked k-ary tree as a 0/k word of length k(n+1).
 
-    Completes the tree, then takes the cyclic outdegree word at the
-    marked vertex's image (which is internal, with outdegree k). The
-    result's shape and block structure are self-checked before returning.
+    Checks the mark, then the core takes the completion's cyclic outdegree
+    word at the mark's image (internal, with outdegree k) and self-checks
+    its shape, block structure and parameters against the tree.
     """
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
         raise ValueError(f"mark {m.mark} out of range 1..{t.vertex_count}")
     completed, index_map = complete(t)
-    word = bar_delta_encode(MarkedPlaneTree(completed, index_map[m.mark - 1]))
-    k, n, i = kary_word_parameters(word, t.arity)
-    marked_outdegree = kary_preorder_outdegrees(t)[m.mark - 1]
-    if (k, n, i) != (t.arity, t.edge_count, marked_outdegree):
+    i = kary_preorder_outdegrees(t)[m.mark - 1]
+    return _kary_pair_to_composition(t, completed, index_map[m.mark - 1], i)[0]
+
+
+def _kary_pair_to_composition(
+    t: KaryTree, completed: PlaneTree, position: int, i: int
+) -> tuple[Composition, _WordStructure]:
+    # t's word marked at completion index ``position`` (i filled slots), and its structure.
+    word = bar_delta_encode(MarkedPlaneTree(completed, position))
+    structure = _kary_word_structure(word, t.arity)
+    if structure[:3] != (t.arity, t.edge_count, i):
         raise AssertionError(
-            f"encoded word parameters {(k, n, i)} disagree with the marked tree "
-            f"{(t.arity, t.edge_count, marked_outdegree)}"
+            f"encoded word parameters {structure[:3]} disagree with the marked tree "
+            f"{(t.arity, t.edge_count, i)}"
         )
-    return word
+    return word, structure
 
 
 def composition_to_kary_pair(
@@ -251,23 +261,26 @@ def composition_to_kary_pair(
 ) -> MarkedKaryTree:
     """Decode a 0/k word back to its marked k-ary tree.
 
-    Any of k, n, i may be supplied for cross-validation; they are all
-    derivable from the word itself. Decoding runs the cyclic-word inverse
-    at outdegree k (the marked vertex is internal in the completion) and
-    then strips the completion leaves, transporting the mark through the
-    preorder index map.
+    Validates the word and any of k, n, i supplied for cross-validation
+    (all derivable from the word). The core then runs the cyclic-word
+    inverse at outdegree k (the marked vertex is internal in the
+    completion) and strips the completion leaves, transporting the mark
+    through the preorder index map.
     """
-    word = tuple(word)
-    derived_k, derived_n, derived_i = kary_word_parameters(word, k)
-    if n is not None and n != derived_n:
-        raise ValueError(f"word encodes n={derived_n}, expected {n}")
-    if i is not None and i != derived_i:
-        raise ValueError(f"word encodes outdegree i={derived_i}, expected {i}")
-    completed_marked = bar_delta_decode(word, derived_k)
-    tree = uncomplete(completed_marked.tree, derived_k)
+    structure = _kary_word_structure(tuple(word), k)
+    if n is not None and n != structure[1]:
+        raise ValueError(f"word encodes n={structure[1]}, expected {n}")
+    if i is not None and i != structure[2]:
+        raise ValueError(f"word encodes outdegree i={structure[2]}, expected {i}")
+    return _composition_to_kary_pair(structure)
+
+
+def _composition_to_kary_pair(structure: _WordStructure) -> MarkedKaryTree:
+    k, _, _, units, tail = structure
+    completed, position = _bar_delta_decode(units, tail, k)
+    tree = uncomplete(completed, k)
     # The completion's word is tree.word, and its internal vertices are the
     # tree's own: the mark is their count up to the decoded position.
-    position = completed_marked.mark
     if not tree.word[position - 1]:
         raise AssertionError(f"decoded mark {position} does not land on an internal vertex")
     return MarkedKaryTree(tree, position - tree.word[:position].count(0))
@@ -281,12 +294,16 @@ def phi(
     X collects the positions among the first k unit blocks that begin
     with k. Deleting the first entry of each of those k blocks leaves a
     word beta of length kn; Y collects the 1-based positions of the k
-    entries remaining in beta.
+    entries remaining in beta. Validates the word, then runs the core.
     """
-    word = tuple(word)
-    k, n, units, tail = _kary_word_structure(word, arity)
-    if edges is not None and edges != n:
-        raise ValueError(f"word encodes n={n}, expected {edges}")
+    structure = _kary_word_structure(tuple(word), arity)
+    if edges is not None and edges != structure[1]:
+        raise ValueError(f"word encodes n={structure[1]}, expected {edges}")
+    return _phi(structure)
+
+
+def _phi(structure: _WordStructure) -> "SubsetPair":
+    k, n, i, units, tail = structure
     x = frozenset(j + 1 for j in range(k) if units[j][0] == k)
     beta: list[int] = []
     for unit in units[:k]:
@@ -295,10 +312,9 @@ def phi(
         beta.extend(unit)
     beta.extend(tail)
     y = frozenset(pos + 1 for pos, part in enumerate(beta) if part != 0)
-    i = sum(1 for unit in units[:k] if unit[0] == k)
     if len(beta) != k * n or len(x) != i or len(x) + len(y) != n:
         raise AssertionError(
-            f"subset extraction out of balance for {word!r}: "
+            f"subset extraction out of balance for {(*chain.from_iterable(units), *tail)!r}: "
             f"|beta|={len(beta)}, |X|={len(x)}, |Y|={len(y)}"
         )
     return SubsetPair(k, n, x, y)
@@ -311,8 +327,8 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
     leader per unit block, left to right: an inserted 0 is a block by
     itself, while an inserted k absorbs entries of beta until the block's
     running f-statistic first reaches -1. The remainder of beta is
-    appended unchanged. The counting of zeros guarantees each absorption
-    completes, and the result is self-checked against the expected shape.
+    appended unchanged. Validates the pair, then runs the core: the zeros'
+    count makes each absorption complete, and the result's shape is self-checked.
     """
     k, n = pair.k, pair.n
     if k < 1 or n < 0:
@@ -325,7 +341,18 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
         raise ValueError(
             f"|X| + |Y| must equal n={n}, got {len(pair.X)} + {len(pair.Y)}"
         )
-    beta = [k if j in pair.Y else 0 for j in range(1, k * n + 1)]
+    word = _phi_inverse(pair)
+    derived = kary_word_parameters(word, k)
+    if derived != (k, n, len(pair.X)):
+        raise AssertionError(
+            f"rebuilt word has parameters {derived}, expected {(k, n, len(pair.X))}"
+        )
+    return word
+
+
+def _phi_inverse(pair: "SubsetPair") -> Composition:
+    k = pair.k
+    beta = [k if j in pair.Y else 0 for j in range(1, k * pair.n + 1)]
     out: list[int] = []
     pos = 0
     for j in range(1, k + 1):
@@ -344,13 +371,7 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
         else:
             out.append(0)
     out.extend(beta[pos:])
-    word = tuple(out)
-    derived = kary_word_parameters(word, k)
-    if derived != (k, n, len(pair.X)):
-        raise AssertionError(
-            f"rebuilt word has parameters {derived}, expected {(k, n, len(pair.X))}"
-        )
-    return word
+    return tuple(out)
 
 
 def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:

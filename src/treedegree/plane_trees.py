@@ -173,10 +173,17 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
         raise ValueError(
             f"word of length {n} with sum {sum(word)} does not match outdegree {i}"
         )
-    units, tail = fundamental_decomposition(word)
+    return _bar_delta_decode(*fundamental_decomposition(word), i)
+
+
+def _bar_delta_decode(
+    units: tuple[Composition, ...], tail: Composition, i: int
+) -> MarkedPlaneTree:
+    # bar_delta_decode past its length and sum checks, on the decomposed word.
     s = len(units)
     tail_f = sum(tail) - len(tail)
     if tail_f != s - i or s < i:
+        word = (*chain.from_iterable(units), *tail)
         raise AssertionError(
             f"decomposition out of balance for {word!r}: s={s}, f(tail)={tail_f}, i={i}"
         )

@@ -3,9 +3,9 @@
 Each sweep yields failure details, and one runner turns it into a
 :class:`CheckResult` instead of raising, so a full report can be assembled
 even when something breaks; the first failing cell (smallest in the sweep
-order) is reported as the counterexample. An ``AssertionError`` inside a
-sweep (an inexact division, a library self-check) is a failure too; a
-``ValueError`` such as an enumeration guard propagates.
+order) is reported as the counterexample. An ``AssertionError`` or a
+``ValueError`` inside a sweep (an inexact division, a library self-check)
+is a failure too; only a ``GuardError``, such as an enumeration guard, propagates.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exact_math
+from ._limits import GuardError
 from .compositions import Composition, enumerate_compositions
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
     MarkedKaryTree,
+    _composition_to_kary_pair,
+    _kary_pair_to_composition,
+    _phi,
+    _phi_inverse,
     complete,
-    composition_to_kary_pair,
     enumerate_kary_trees,
-    kary_pair_to_composition,
     kary_preorder_outdegrees,
-    phi,
-    phi_inverse,
     uncomplete,
 )
 from .plane_trees import (
@@ -75,8 +76,8 @@ class CheckResult:
 def _run(checks: Sequence[tuple[str, str]], sweep: Iterable[tuple[str, str]]) -> list[CheckResult]:
     """One result per (name, scope) in ``checks`` from the (name, detail)
     failures ``sweep`` yields: a check's first detail is its counterexample,
-    and the sweep stops once every check has failed. An AssertionError
-    inside it fails each check not failed yet, as none of them ran to the end.
+    and the sweep stops once every check has failed. An AssertionError or
+    a non-guard ValueError inside it fails each check not failed yet.
     """
     failures: dict[str, str] = {}
     try:
@@ -84,7 +85,9 @@ def _run(checks: Sequence[tuple[str, str]], sweep: Iterable[tuple[str, str]]) ->
             failures.setdefault(name, detail)
             if len(failures) == len(checks):
                 break
-    except AssertionError as exc:
+    except GuardError:
+        raise
+    except (AssertionError, ValueError) as exc:
         for name, _ in checks:
             failures.setdefault(name, str(exc))
     return [
@@ -382,15 +385,18 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
                 yield COMPLETION, (
                     f"k={k} n={n}: an original vertex is not internal in the completion"
                 )
+            # The codec cores on each pair's word structure, derived once; the round trips check.
             outdegrees = kary_preorder_outdegrees(tree)
             for mark in range(1, tree.vertex_count + 1):
                 marked = MarkedKaryTree(tree, mark)
                 try:
-                    word = kary_pair_to_composition(marked)
-                    decoded = composition_to_kary_pair(word, k, n, outdegrees[mark - 1])
-                    pair = phi(word, k, n)
+                    word, structure = _kary_pair_to_composition(
+                        tree, completed, index_map[mark - 1], outdegrees[mark - 1]
+                    )
+                    decoded = _composition_to_kary_pair(structure)
+                    pair = _phi(structure)
                     images.add((tuple(sorted(pair.X)), tuple(sorted(pair.Y))))
-                    rebuilt = phi_inverse(pair)
+                    rebuilt = _phi_inverse(pair)
                 except (AssertionError, ValueError) as exc:
                     yield SUBSETS, str(exc)
                     continue
@@ -440,7 +446,7 @@ def run_checks(
     if what != "all" and what not in CHECKS:
         raise ValueError(f"unknown verification {what!r}")
     if max_edges < 1 or max_arity < 1:
-        raise ValueError("--max-edges and --max-arity must be at least 1")
+        raise GuardError("--max-edges and --max-arity must be at least 1")
     names = list(CHECKS) if what == "all" else [what]
     return [result for name in names for result in CHECKS[name](max_edges, max_arity)]
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from treedegree import (
     KaryTree,
     MarkedKaryTree,
+    MarkedPlaneTree,
     PlaneTree,
     SubsetPair,
+    bar_delta_decode,
     complete,
     composition_to_kary_pair,
     count_kary_outdegree,
@@ -28,6 +32,7 @@ from treedegree import (
 )
 from golden import (
     BINARY_TABLE,
+    SAMPLE_CYCLIC_WORD,
     SAMPLE_TERNARY_8,
     SAMPLE_TERNARY_ALPHA,
     SAMPLE_TERNARY_COMPLETED_WORD,
@@ -343,3 +348,49 @@ def test_word_decode_moves_the_mark_without_completing(monkeypatch):
 
     monkeypatch.setattr(kary_trees, "complete", refuse)
     assert [composition_to_kary_pair(word) for word in words] == marked
+
+
+OTHER_PAIR = SubsetPair(3, 8, SAMPLE_TERNARY_X, frozenset(25 - y for y in SAMPLE_TERNARY_Y))
+OTHER_WORD = phi_inverse(OTHER_PAIR)  # a different word with the same (k, n, i)
+OTHER_MARKED = MarkedKaryTree(SAMPLE_TERNARY_8, 1)
+
+
+@pytest.mark.parametrize(
+    "module, core, returned, call",
+    [
+        (
+            "kary_trees",
+            "_kary_pair_to_composition",
+            (OTHER_WORD, None),
+            lambda: kary_pair_to_composition(
+                MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)
+            ),
+        ),
+        (
+            "kary_trees",
+            "_composition_to_kary_pair",
+            OTHER_MARKED,
+            lambda: composition_to_kary_pair(SAMPLE_TERNARY_ALPHA),
+        ),
+        ("kary_trees", "_phi", OTHER_PAIR, lambda: phi(SAMPLE_TERNARY_ALPHA)),
+        (
+            "kary_trees",
+            "_phi_inverse",
+            OTHER_WORD,
+            lambda: phi_inverse(SubsetPair(3, 8, SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)),
+        ),
+        (
+            "plane_trees",
+            "_bar_delta_decode",
+            MarkedPlaneTree(pt(), 1),
+            lambda: bar_delta_decode(SAMPLE_CYCLIC_WORD, 2),
+        ),
+    ],
+)
+def test_public_codec_returns_what_its_core_returns(monkeypatch, module, core, returned, call):
+    # Each wrapper validates and then runs its core: one path, no fork. The
+    # encode core returns the word together with its structure.
+    expected = returned[0] if core == "_kary_pair_to_composition" else returned
+    assert call() != expected
+    monkeypatch.setattr(importlib.import_module(f"treedegree.{module}"), core, lambda *a: returned)
+    assert call() == expected

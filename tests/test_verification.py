@@ -70,8 +70,9 @@ def _leaf_for_all(honest):
 
 
 def _mirror_y(honest):
-    def compress(word, k, n):
-        pair = honest(word, k, n)
+    def compress(structure):
+        k, n = structure[:2]
+        pair = honest(structure)
         return SubsetPair(k, n, pair.X, frozenset(k * n + 1 - y for y in pair.Y))
 
     return compress
@@ -93,8 +94,8 @@ def _off_subset_count(honest):
         ("bar_delta_decode", _shift_mark, {MARKED_TRIP}),
         ("enumerate_plane_trees", _first_tree_twice, {COVER}),
         ("uncomplete", _leaf_for_all, {COMPLETION}),
-        ("phi", _mirror_y, {SUBSETS}),
-        ("phi_inverse", _reverse_word, {SUBSETS}),
+        ("_phi", _mirror_y, {SUBSETS}),
+        ("_phi_inverse", _reverse_word, {SUBSETS}),
         ("binomial", _off_subset_count, {CARDINALITY}),
     ],
 )
@@ -140,3 +141,49 @@ def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
     results = verification.check_bijections(MAX_EDGES, CELLS)
     assert [r.passed for r in results] == [True, True, True, False, False, False]
     assert {r.detail for r in results[3:]} == {"enumeration self-check"}
+
+
+def test_each_marked_pair_is_validated_once(monkeypatch):
+    import treedegree.kary_trees as kary_trees
+
+    calls = Counter()
+
+    def count(module, attr):
+        honest = getattr(module, attr)
+
+        def counting(*args):
+            calls[attr] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    count(kary_trees, "_kary_word_structure")
+    count(kary_trees, "kary_preorder_outdegrees")
+    count(verification, "kary_preorder_outdegrees")
+    results = verification.check_bijections(MAX_EDGES, CELLS)
+    assert all(r.passed for r in results)
+    trees = [tree for k, n in CELLS for tree in kary_trees.enumerate_kary_trees(k, n)]
+    marked_pairs = sum(tree.vertex_count for tree in trees)
+    assert calls == {"_kary_word_structure": marked_pairs, "kary_preorder_outdegrees": len(trees)}
+
+
+def test_a_library_value_error_is_a_fail_line(monkeypatch, capsys):
+    def refuse(completed, k):
+        raise ValueError("internal vertex has outdegree 1, expected 2")
+
+    monkeypatch.setattr(verification, "uncomplete", refuse)
+    assert main(["verify", "bijections", "--max-edges", "3", "--max-arity", "2"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 6
+    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 3 + ["FAIL"] * 3
+    detail = ": internal vertex has outdegree 1, expected 2"
+    assert all(line.endswith(detail) for line in lines[3:])
+
+
+def test_malformed_guard_still_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("TREEDEGREE_GUARD", "lots")
+    assert main(["verify", "fine"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "TREEDEGREE_GUARD must be an integer, got 'lots'" in err
