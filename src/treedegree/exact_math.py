@@ -133,14 +133,23 @@ def fine_number(n: int) -> int:
 def count_odd_outdegree(n: int) -> int:
     """Total number of odd-outdegree vertices over all plane trees with n edges.
 
-    Computed as the sum of :func:`count_plane_outdegree` over odd i, then
-    cross-checked against (2*C(2n-1, n) + F_{n-1}) / 3, which must agree
-    exactly (the numerator is always divisible by 3). A failure of either
-    check means the formulas disagree and raises AssertionError.
+    Computed as the odd column of :func:`count_plane_outdegree` from i = 1,
+    each step i -> i + 2 an exact ratio (n-i)(n-i-1) / ((2n-i-1)(2n-i-2))
+    done by :func:`exact_div`, then cross-checked against
+    (2*C(2n-1, n) + F_{n-1}) / 3, which must agree exactly (the numerator
+    is always divisible by 3). A failure of either check means the
+    formulas disagree and raises AssertionError.
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
-    total = sum(count_plane_outdegree(n, i) for i in range(1, n + 1, 2))
+    total = term = count_plane_outdegree(n, 1)
+    for i in range(1, n - 1, 2):
+        term = exact_div(
+            term * (n - i) * (n - i - 1),
+            (2 * n - i - 1) * (2 * n - i - 2),
+            "odd-column ratio step",
+        )
+        total += term
     cross = exact_div(
         2 * binomial(2 * n - 1, n) + fine_number(n - 1), 3, "odd-outdegree cross-check"
     )
@@ -152,24 +161,26 @@ def count_odd_outdegree(n: int) -> int:
 
 
 def _outdegree_type_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    # All (r_0, ..., r_n) with sum r_j = n + 1 and sum j*r_j = n. Choosing
-    # r_n, ..., r_1 first fixes the weighted sum; r_0 takes up the slack
-    # and is automatically >= 1 because sum_{j>=1} r_j <= n.
+    # All (r_0, ..., r_n) with sum r_j = n + 1 and sum j*r_j = n, n >= 1.
+    # An odometer runs r_n, ..., r_2 (r_2 fastest) through every choice of
+    # weight sum_{j>=2} j*r_j <= n; r_1 takes the rest of the weight and
+    # r_0 the rest of the count, >= 1 because sum_{j>=1} r_j <= n.
     vec = [0] * (n + 1)
-
-    def place(j: int, weight: int, used: int) -> Iterator[tuple[int, ...]]:
-        if j == 0:
-            if weight == 0:
-                vec[0] = (n + 1) - used
-                yield tuple(vec)
-                vec[0] = 0
+    rest, used = n, 0
+    while True:
+        vec[0], vec[1] = n + 1 - used - rest, rest
+        yield tuple(vec)
+        j = 2
+        while j <= n and rest < j:
+            rest += j * vec[j]
+            used -= vec[j]
+            vec[j] = 0
+            j += 1
+        if j > n:
             return
-        for r in range(weight // j + 1):
-            vec[j] = r
-            yield from place(j - 1, weight - j * r, used + r)
-        vec[j] = 0
-
-    yield from place(n, n, 0)
+        vec[j] += 1
+        rest -= j
+        used += 1
 
 
 def verify_outdegree_sequence_identity(n: int, i: int) -> tuple[int, int]:

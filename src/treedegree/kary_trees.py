@@ -8,9 +8,12 @@ vertices all have outdegree exactly k (:func:`complete` /
 of its completion, a unit composition of 0s and ks, and every operation
 here is a flat scan of that word. A marked k-ary tree encodes, through the
 completion and the cyclic word of :mod:`treedegree.plane_trees`, as a
-composition made of n copies of k and kn + k - n zeros whose fundamental
-decomposition has at least k unit blocks (:func:`kary_pair_to_composition`
-/ :func:`composition_to_kary_pair`).
+composition made of n copies of k and kn + k - n zeros
+(:func:`kary_pair_to_composition` / :func:`composition_to_kary_pair`).
+That shape alone gives the word's fundamental decomposition exactly
+k + f(tail) >= k unit blocks (the cycle lemma: f of the word is -k, each
+unit block contributes -1 and the positive tail f(tail) >= 0); the codec
+re-checks this as a self-check, not as a further requirement on input.
 
 Such a word compresses further to a pair of subsets: X records which of
 the first k unit blocks begin with k, and Y records where the remaining
@@ -175,9 +178,11 @@ def kary_word_parameters(
 
     Shape requirements (reported as "entry shape"): entries are 0 or a
     single value k (matching ``arity`` when given), the length is k(n+1)
-    and exactly n entries equal k. Block requirement (reported as "block
-    structure"): the fundamental decomposition has at least k unit blocks;
-    i counts how many of the first k begin with k.
+    and exactly n entries equal k. The shape implies, by the cycle lemma,
+    that the fundamental decomposition has k + f(tail) >= k unit blocks;
+    that is re-checked as a self-check (reported as "block structure"),
+    not required of the input on top of the shape. i counts how many of
+    the first k unit blocks begin with k.
     """
     return _kary_word_structure(tuple(word), arity)[:3]
 

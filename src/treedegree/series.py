@@ -15,15 +15,15 @@ independent check that B_k - (1 + z*B_k)^k vanishes, by plain truncated
 multiplication, lives in ``verification._check_residuals``.
 
 The derivative-at-1 series of the bivariate vertex-marking generating
-functions reduce to shifted powers of C and B_k:
+functions are geometric sums of shifted powers of C and B_k, taken in
+closed form as quotients:
 
-    sum_{m >= 0} z^(m+i) * C^(2m+i)                           (plane, outdegree i)
-    C(k,i) * sum_{r >= 0} (k-1)^r * (z^(i+r) B_k^(i+r)
-                                     + z^(i+r+1) B_k^(i+r+1))  (k-ary, outdegree i)
+    z^i C^i / (1 - z*C^2)                                  (plane, outdegree i)
+    C(k,i) * (z*B_k)^i * (1 + z*B_k) / (1 - (k-1)*z*B_k)   (k-ary, outdegree i)
 
-Each power is carried only to the order that survives its shift. Their
-coefficients are asserted against the closed-form counts, which
-makes each construction a machine check of the corresponding identity.
+Each is a power, an integer-only inverse and products: O(N^2). Their
+coefficients are asserted against the closed-form counts, which makes
+each construction a machine check of the corresponding identity.
 Power-coefficient laws used along the way:
 
     [z^n] C^l   = l/(2n+l) * C(2n+l, n)
@@ -35,7 +35,7 @@ wrong already at k=2, n=2, l=1 (see the tests).
 
 from __future__ import annotations
 
-from operator import add, index, mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .exact_math import (
@@ -175,6 +175,14 @@ def _product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
     return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(top + 1)]
 
 
+def _inverse(q: Sequence[int], top: int) -> list[int]:
+    """Coefficients 0..top of 1/q, q_0 = 1: r_0 = 1, r_n = -sum_{j=1..n} q_j r_{n-j}."""
+    r = [1]
+    for n in range(1, top + 1):
+        r.append(-sum(map(mul, q[1 : n + 1], reversed(r))))
+    return r
+
+
 def catalan_series(order: int) -> TruncatedSeries:
     """C(z) with C = 1 + z*C^2, via the convolution c_n = sum c_j c_{n-1-j}."""
     if order < 0:
@@ -253,11 +261,10 @@ def verify_kary_power_coeff(k: int, n: int, l: int) -> tuple[int, int]:
 
 def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     """Series whose coefficient n counts outdegree-i vertices over n-edge
-    plane trees, built as sum_{m >= 0} z^(m+i) * C^(2m+i).
+    plane trees, built as z^i C^i / (1 - z*C^2) = sum_m z^(m+i) C^(2m+i).
 
-    Terms with m + i > order vanish below the truncation, so the sum is
-    finite. Every coefficient 1..order is asserted equal to the closed
-    form C(2n - i - 1, n - 1) before returning.
+    The denominator is 2 - C, by C = 1 + z*C^2. Every coefficient 1..order
+    is asserted equal to the closed form C(2n - i - 1, n - 1) before returning.
     """
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
@@ -265,14 +272,11 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     acc = [0] * (order + 1)
     if i <= order:
-        c = catalan_series(order).coefficients
-        c_squared = _product(c, c, order - i)
-        power = (TruncatedSeries(c[: order - i + 1]) ** i).coefficients
-        for m in range(order - i + 1):
-            # power is C^(2m+i) through z^(order-m-i), all that survives
-            # the shift by z^(m+i).
-            acc[m + i :] = map(add, acc[m + i :], power)
-            power = _product(power, c_squared, order - i - m - 1)
+        top = order - i
+        c = catalan_series(top).coefficients
+        power = (TruncatedSeries(c) ** i).coefficients
+        inverse = _inverse([1, *(-x for x in c[1:])], top)
+        acc[i:] = _product(power, inverse, top)
     for n in range(1, order + 1):
         expected = count_plane_outdegree(n, i)
         if acc[n] != expected:
@@ -285,8 +289,8 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
 
 def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
     """Series whose coefficient n counts outdegree-i vertices over n-edge
-    k-ary trees, built as
-    C(k,i) * sum_{r >= 0} (k-1)^r (z^(i+r) B_k^(i+r) + z^(i+r+1) B_k^(i+r+1)).
+    k-ary trees, built as C(k,i) (z*B_k)^i (1 + z*B_k) / (1 - (k-1)*z*B_k),
+    which is C(k,i) sum_r (k-1)^r (z^(i+r) B_k^(i+r) + z^(i+r+1) B_k^(i+r+1)).
 
     Every coefficient 1..order is asserted equal to the closed form
     C(k, i) * C(kn, n - i) before returning.
@@ -299,22 +303,12 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     acc = [0] * (order + 1)
     if i <= order:
-        b = kary_series(k, order).coefficients
-        power = (TruncatedSeries(b[: order - i + 1]) ** i).coefficients
-        weight = 1
-        for r in range(order - i + 1):
-            # power is B^(i+r) through z^(order-i-r), all that survives
-            # the shift by z^(i+r); power_next is one order shorter.
-            power_next = _product(power, b, order - i - r - 1)
-            acc[i + r :] = map(add, acc[i + r :], (weight * p for p in power))
-            acc[i + r + 1 :] = map(
-                add, acc[i + r + 1 :], (weight * p for p in power_next)
-            )
-            power = power_next
-            weight *= k - 1
-            if weight == 0:
-                break
-        acc = [binomial(k, i) * a for a in acc]
+        top = order - i
+        b = kary_series(k, top).coefficients
+        power = (TruncatedSeries(b) ** i).coefficients
+        numerator = _product(power, [1, *b[:top]], top)
+        inverse = _inverse([1, *(-(k - 1) * x for x in b[:top])], top)
+        acc[i:] = (binomial(k, i) * x for x in _product(numerator, inverse, top))
     for n in range(1, order + 1):
         expected = count_kary_outdegree(n, k, i)
         if acc[n] != expected:

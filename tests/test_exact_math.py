@@ -13,6 +13,7 @@ from treedegree import (
     multinomial,
     verify_outdegree_sequence_identity,
 )
+from treedegree import exact_math
 
 
 def segner_catalan(limit):
@@ -28,6 +29,35 @@ def fine_closed_form(n):
     # F_n = 3 * sum_{j >= 0} C(2n - 2j, n) - 2 * C(2n + 1, n).
     tail_sum = sum(binomial(2 * n - 2 * j, n) for j in range(n // 2 + 1))
     return 3 * tail_sum - 2 * binomial(2 * n + 1, n)
+
+
+def recursive_type_vectors(n):
+    # Reference order: the depth-first recursion over r_n, ..., r_1 that
+    # exact_math._outdegree_type_vectors replaced by an odometer.
+    vec = [0] * (n + 1)
+
+    def place(j, weight, used):
+        if j == 0:
+            if weight == 0:
+                vec[0] = (n + 1) - used
+                yield tuple(vec)
+                vec[0] = 0
+            return
+        for r in range(weight // j + 1):
+            vec[j] = r
+            yield from place(j - 1, weight - j * r, used + r)
+        vec[j] = 0
+
+    return list(place(n, n, 0))
+
+
+def partition_counts(limit):
+    # p(0..limit) by adding one allowed part size at a time.
+    p = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for total in range(part, limit + 1):
+            p[total] += p[total - part]
+    return p
 
 
 def pascal_triangle(rows):
@@ -202,6 +232,17 @@ class TestOddOutdegree:
             )
             assert count_odd_outdegree(n) == expected
 
+    def test_wrong_column_start_fails_the_fine_cross_check(self, monkeypatch):
+        # The ratio steps start from count_plane_outdegree(n, 1), so a fault
+        # there must reach the cross-check against the Fine numbers.
+        real = exact_math.count_plane_outdegree
+        monkeypatch.setattr(
+            exact_math, "count_plane_outdegree", lambda n, i: real(n, i) + (n == 2)
+        )
+        assert count_odd_outdegree(3) == 7
+        with pytest.raises(AssertionError, match="odd-outdegree mismatch at n=2"):
+            count_odd_outdegree(2)
+
 
 class TestOutdegreeSequenceIdentity:
     def test_worked_cells(self):
@@ -221,3 +262,17 @@ class TestOutdegreeSequenceIdentity:
         monkeypatch.setenv("TREEDEGREE_GUARD", "2")
         with pytest.raises(ValueError, match="guard"):
             verify_outdegree_sequence_identity(3, 0)
+
+    def test_type_vectors_keep_the_recursive_order(self):
+        for n in range(1, 15):
+            assert list(exact_math._outdegree_type_vectors(n)) == recursive_type_vectors(n)
+
+    def test_one_type_vector_per_partition(self):
+        p = partition_counts(30)
+        for n in range(1, 31):
+            vectors = list(exact_math._outdegree_type_vectors(n))
+            assert len(vectors) == p[n]
+            assert len(set(vectors)) == p[n]
+            for vec in vectors:
+                assert sum(vec) == n + 1
+                assert sum(j * r for j, r in enumerate(vec)) == n

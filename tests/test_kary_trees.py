@@ -1,4 +1,5 @@
 import importlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -17,8 +18,10 @@ from treedegree import (
     count_kary_outdegree_bruteforce,
     delta_decode,
     enumerate_kary_trees,
+    f_statistic,
     format_kary_tree,
     format_marked_kary_tree,
+    fundamental_decomposition,
     kary_leaf,
     kary_pair_to_composition,
     kary_preorder_outdegrees,
@@ -132,6 +135,25 @@ class TestWordCodec:
             kary_word_parameters((2, 2, 0, 0))  # two 2s, expected one
         with pytest.raises(ValueError, match="entry shape"):
             kary_word_parameters(SAMPLE_TERNARY_ALPHA, 2)
+
+    def test_shape_implies_the_block_structure(self):
+        # Cycle lemma: f of a shape-valid word is -k, each unit block adds
+        # -1 and the positive tail f(tail) >= 0, so there are exactly
+        # k + f(tail) >= k unit blocks and the "block structure" self-check
+        # never fires after the shape checks pass.
+        words = 0
+        for k in range(1, 5):
+            for n in range(12 // k + 1):
+                length = k * (n + 1)
+                for places in combinations(range(length), n):
+                    word = [0] * length
+                    for place in places:
+                        word[place] = k
+                    assert kary_word_parameters(word, k)[:2] == (k, n)
+                    units, tail = fundamental_decomposition(tuple(word))
+                    assert len(units) == k + f_statistic(tail)
+                    words += 1
+        assert words == 6435
 
     def test_single_edge_binary_pair(self):
         tree = KaryTree(2, (L2, None))

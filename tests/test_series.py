@@ -18,6 +18,7 @@ from treedegree import (
     verification,
 )
 from treedegree.cli import main
+from treedegree.series import _inverse
 
 
 def naive_product(a, b):
@@ -27,6 +28,28 @@ def naive_product(a, b):
         for j, y in enumerate(b[: len(a) - i]):
             out[i + j] += x * y
     return tuple(out)
+
+
+def shifted_power_plane(i, order):
+    # Reference for plane_derivative_series: sum_{m >= 0} z^(m+i) C^(2m+i),
+    # the terms with m + i > order vanishing below the truncation.
+    c = catalan_series(order)
+    total = TruncatedSeries.constant(0, order)
+    for m in range(order - i + 1):
+        total = total + (c ** (2 * m + i)).shift(m + i)
+    return total
+
+
+def shifted_power_kary(k, i, order):
+    # Reference for kary_derivative_series:
+    # C(k,i) sum_{r >= 0} (k-1)^r (z^(i+r) B^(i+r) + z^(i+r+1) B^(i+r+1)).
+    b = kary_series(k, order)
+    total = TruncatedSeries.constant(0, order)
+    for r in range(order - i + 1):
+        total = total + (k - 1) ** r * (
+            (b ** (i + r)).shift(i + r) + (b ** (i + r + 1)).shift(i + r + 1)
+        )
+    return binomial(k, i) * total
 
 
 def coefficient_pairs():
@@ -235,6 +258,46 @@ class TestDerivativeSeries:
                 series = kary_derivative_series(k, i, 12)
                 for n in range(1, 13):
                     assert series[n] == count_kary_outdegree(n, k, i)
+
+    def test_plane_matches_shifted_power_sum(self):
+        for i in range(7):
+            for order in sorted({0, i, 30}):
+                assert plane_derivative_series(i, order) == shifted_power_plane(i, order)
+
+    def test_kary_matches_shifted_power_sum(self):
+        # k = 1 has weight (k-1) = 0: only the r = 0 term survives.
+        for k in range(1, 5):
+            for i in range(k + 1):
+                for order in sorted({0, i, 20}):
+                    assert kary_derivative_series(k, i, order) == shifted_power_kary(
+                        k, i, order
+                    )
+
+    def test_inverse_of_the_plane_denominator(self):
+        c = catalan_series(40)
+        q = 1 - (c * c).shift(1)
+        assert TruncatedSeries(_inverse(q.coefficients, 40)) * q == TruncatedSeries.constant(
+            1, 40
+        )
+
+    @given(coefficient_pairs())
+    def test_inverse_times_series_is_one(self, pair):
+        q = TruncatedSeries([1, *pair[0][1:]])
+        assert TruncatedSeries(_inverse(q.coefficients, q.order)) * q == (
+            TruncatedSeries.constant(1, q.order)
+        )
+
+    def test_order_200_matches_closed_forms(self):
+        # Quadratic in the order: about 0.03 s, where the cubic shifted-power
+        # construction took about 0.5 s for these two calls.
+        assert plane_derivative_series(3, 200).coefficients == (
+            0,
+            *(binomial(2 * n - 4, n - 1) for n in range(1, 201)),
+        )
+        assert kary_derivative_series(3, 1, 200).coefficients == (
+            0,
+            *(3 * binomial(3 * n, n - 1) for n in range(1, 201)),
+        )
 
     def test_truncation_of_infinite_sums_is_stable(self):
         # Adding one more term of either expansion cannot change any kept
