@@ -12,13 +12,16 @@ bijection between marked trees and arbitrary n-part compositions of n - i
 the fundamental decomposition of the word.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
-brute-force oracle for the closed-form counts.
+brute-force oracle for the closed-form counts; it runs an odometer over
+each word's leading parts only and joins every prefix to a cached table
+of the suffixes that finish it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -108,21 +111,46 @@ def degree_histogram(t: PlaneTree) -> dict[int, int]:
     return dict(counts)
 
 
+# Trailing parts of each word taken from a suffix table, not the odometer.
+_BLOCK = 6
+
+
+@cache
+def _suffixes(height: int, parts: int) -> tuple[Composition, ...]:
+    # Every way to finish a unit word from prefix f-height ``height`` (its
+    # sum minus its length) with ``parts`` parts left, in lexicographic
+    # order: each part but the last keeps the f-height nonnegative, and the
+    # last brings it to -1. Brute recursion on the first part.
+    if parts == 1:
+        return ((0,),) if height == 0 else ()
+    return tuple(
+        (first, *rest)
+        for first in range(max(0, 1 - height), parts - height)
+        for rest in _suffixes(height + first - 1, parts - 1)
+    )
+
+
 def _unit_words(n: int) -> Iterator[Composition]:
-    # All unit (n+1)-part compositions of n in lexicographic order, as an
-    # odometer over positions 0..n-1. Position p with running sum
-    # totals[p] takes parts from max(0, p + 1 - totals[p]), which keeps the
-    # prefix f-value nonnegative, while the sum stays within n; the final
-    # part is then forced to 0.
-    word = [0] * (n + 1)
-    totals = [0] * (n + 1)  # totals[p] = sum(word[:p])
+    # All unit (n+1)-part compositions of n in lexicographic order. Words
+    # of at most _BLOCK parts are a suffix table. Longer ones run an
+    # odometer over the first head = n + 1 - _BLOCK positions: position p
+    # with running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
+    # which keeps the prefix f-value nonnegative, while the sum stays
+    # within n, so the prefix ends at f-height 0.._BLOCK - 1. Each prefix
+    # is then joined, in C, to every suffix in the table for its f-height.
+    head = n + 1 - _BLOCK
+    if head <= 0:
+        yield from _suffixes(0, n + 1)
+        return
+    word = [0] * head
+    totals = [0] * (head + 1)  # totals[p] = sum(word[:p])
     pos = 0
     while True:
-        for p in range(pos, n):
+        for p in range(pos, head):
             word[p] = max(0, p + 1 - totals[p])
             totals[p + 1] = totals[p] + word[p]
-        yield tuple(word)
-        pos = n - 1
+        yield from map(tuple(word).__add__, _suffixes(totals[head] - head, _BLOCK))
+        pos = head - 1
         while pos >= 0 and totals[pos + 1] == n:
             pos -= 1
         if pos < 0:

@@ -23,6 +23,7 @@ from treedegree import (
     parse_plane_tree,
     preorder_outdegrees,
 )
+import treedegree.plane_trees as plane_module
 from golden import SAMPLE_CYCLIC_WORD, SAMPLE_MARK, SAMPLE_TREE_14, SAMPLE_WORD_14, pt
 
 LEAF = PlaneTree()
@@ -116,6 +117,43 @@ class TestEnumeration:
         monkeypatch.setenv("TREEDEGREE_GUARD", "lots")
         with pytest.raises(ValueError, match="TREEDEGREE_GUARD"):
             next(enumerate_plane_trees(2))
+
+
+def _odometer_words(n):
+    # Reference enumerator: one odometer over positions 0..n-1, the final
+    # part forced to 0.
+    word = [0] * (n + 1)
+    totals = [0] * (n + 1)
+    pos = 0
+    while True:
+        for p in range(pos, n):
+            word[p] = max(0, p + 1 - totals[p])
+            totals[p + 1] = totals[p] + word[p]
+        yield tuple(word)
+        pos = n - 1
+        while pos >= 0 and totals[pos + 1] == n:
+            pos -= 1
+        if pos < 0:
+            return
+        word[pos] += 1
+        totals[pos + 1] += 1
+        pos += 1
+
+
+class TestBlockEnumeration:
+    def test_same_words_as_the_odometer(self):
+        # n <= _BLOCK - 1 comes straight from a table; n = _BLOCK is the first
+        # size with an odometer prefix, of one position.
+        assert plane_module._BLOCK - 1 < 12
+        for n in range(0, 13):
+            assert list(plane_module._unit_words(n)) == list(_odometer_words(n)), n
+
+    def test_suffix_tables_sorted_without_repeats(self):
+        for parts in range(1, plane_module._BLOCK + 1):
+            for height in range(plane_module._BLOCK):
+                table = plane_module._suffixes(height, parts)
+                assert list(table) == sorted(set(table))
+                assert all(len(suffix) == parts for suffix in table)
 
 
 class TestMarkedWords:

@@ -49,6 +49,11 @@ def _reverse_encoding(honest):
     return lambda marked: honest(marked)[::-1]
 
 
+def _zero_after_first_mark(honest):
+    # Right count, still distinct, but mark 1's word is one part too long.
+    return lambda marked: honest(marked) + (0,) * (marked.mark == 1)
+
+
 def _shift_mark(honest):
     def decode(word, i):
         tree, mark = honest(word, i)
@@ -97,6 +102,7 @@ def _off_subset_count(honest):
         ("_phi", _mirror_y, {SUBSETS}),
         ("_phi_inverse", _reverse_word, {SUBSETS}),
         ("binomial", _off_subset_count, {CARDINALITY}),
+        ("bar_delta_encode", _zero_after_first_mark, {MARKED_TRIP, COVER}),
     ],
 )
 def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
@@ -106,6 +112,16 @@ def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
     assert {r.name for r in results if not r.passed} == failing
     assert all(r.detail for r in results if not r.passed)
     assert all(r.line().startswith("FAIL") for r in results if r.name in failing)
+
+
+def test_plane_tree_count_is_counted(monkeypatch):
+    # The check counts the trees it is given, so a listed-twice tree shows.
+    monkeypatch.setattr(
+        verification, "enumerate_plane_trees", _first_tree_twice(verification.enumerate_plane_trees)
+    )
+    result = verification.check_plane_counts(3)
+    assert not result.passed
+    assert result.detail == "n=1: enumerated 2 trees, expected 1"
 
 
 def test_inexact_division_is_a_fail_line(monkeypatch, capsys):
@@ -126,6 +142,14 @@ def test_inexact_division_is_a_fail_line(monkeypatch, capsys):
 def test_guard_still_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("TREEDEGREE_GUARD", "2")
     assert main(["verify", "fine", "--max-edges", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "plane-tree enumeration exceeds the enumeration guard (3 > 2)" in err
+
+
+def test_guard_exits_2_before_any_theorem1_output(monkeypatch, capsys):
+    monkeypatch.setenv("TREEDEGREE_GUARD", "2")
+    assert main(["verify", "theorem1", "--max-edges", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "plane-tree enumeration exceeds the enumeration guard (3 > 2)" in err
