@@ -12,8 +12,8 @@ composition made of n copies of k and kn + k - n zeros
 (:func:`kary_pair_to_composition` / :func:`composition_to_kary_pair`).
 That shape alone gives the word's fundamental decomposition exactly
 k + f(tail) >= k unit blocks (the cycle lemma: f of the word is -k, each
-unit block contributes -1 and the positive tail f(tail) >= 0); the codec
-re-checks this as a self-check, not as a further requirement on input.
+unit block contributes -1 and the positive tail f(tail) >= 0), so the
+codec needs no check on the blocks.
 
 Such a word compresses further to a pair of subsets: X records which of
 the first k unit blocks begin with k, and Y records where the remaining
@@ -23,14 +23,17 @@ a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
-core on the word's validated structure or a built word; the core self-checks.
+core on the word's validated structure or a built word. The cores keep two
+self-checks, which tie a word to a tree: a decoded word must be a unit
+composition, and an encoded word's (k, n, i) must match the marked tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import partial
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_EDGE_LIMIT, check_guard
@@ -43,6 +46,7 @@ from .plane_trees import (
     MarkedPlaneTree,
     PlaneTree,
     _bar_delta_decode,
+    _parse_marked,
     _plane_tree,
     bar_delta_encode,
 )
@@ -179,10 +183,8 @@ def kary_word_parameters(
     Shape requirements (reported as "entry shape"): entries are 0 or a
     single value k (matching ``arity`` when given), the length is k(n+1)
     and exactly n entries equal k. The shape implies, by the cycle lemma,
-    that the fundamental decomposition has k + f(tail) >= k unit blocks;
-    that is re-checked as a self-check (reported as "block structure"),
-    not required of the input on top of the shape. i counts how many of
-    the first k unit blocks begin with k.
+    that the fundamental decomposition has k + f(tail) >= k unit blocks.
+    i counts how many of the first k unit blocks begin with k.
     """
     return _kary_word_structure(tuple(word), arity)[:3]
 
@@ -222,10 +224,6 @@ def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure
             f"found {k_count}"
         )
     units, tail = fundamental_decomposition(word)
-    if len(units) < k:
-        raise ValueError(
-            f"block structure: expected at least {k} unit blocks, found {len(units)}"
-        )
     return k, n, sum(1 for unit in units[:k] if unit[0] == k), units, tail
 
 
@@ -234,7 +232,7 @@ def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
 
     Checks the mark, then the core takes the completion's cyclic outdegree
     word at the mark's image (internal, with outdegree k) and self-checks
-    its shape, block structure and parameters against the tree.
+    its (k, n, i) against the tree.
     """
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
@@ -283,11 +281,10 @@ def composition_to_kary_pair(
 def _composition_to_kary_pair(structure: _WordStructure) -> MarkedKaryTree:
     k, _, _, units, tail = structure
     completed, position = _bar_delta_decode(units, tail, k)
-    tree = uncomplete(completed, k)
-    # The completion's word is tree.word, and its internal vertices are the
-    # tree's own: the mark is their count up to the decoded position.
-    if not tree.word[position - 1]:
-        raise AssertionError(f"decoded mark {position} does not land on an internal vertex")
+    # The rebuilt unit word is the validated 0/k word, rotated, with k
+    # inserted at the mark: it is the completion of the tree with that word,
+    # and the mark is the count of internal vertices up to the position.
+    tree = _kary_tree(k, completed.word)
     return MarkedKaryTree(tree, position - tree.word[:position].count(0))
 
 
@@ -308,7 +305,7 @@ def phi(
 
 
 def _phi(structure: _WordStructure) -> "SubsetPair":
-    k, n, i, units, tail = structure
+    k, n, _, units, tail = structure
     x = frozenset(j + 1 for j in range(k) if units[j][0] == k)
     beta: list[int] = []
     for unit in units[:k]:
@@ -317,11 +314,6 @@ def _phi(structure: _WordStructure) -> "SubsetPair":
         beta.extend(unit)
     beta.extend(tail)
     y = frozenset(pos + 1 for pos, part in enumerate(beta) if part != 0)
-    if len(beta) != k * n or len(x) != i or len(x) + len(y) != n:
-        raise AssertionError(
-            f"subset extraction out of balance for {(*chain.from_iterable(units), *tail)!r}: "
-            f"|beta|={len(beta)}, |X|={len(x)}, |Y|={len(y)}"
-        )
     return SubsetPair(k, n, x, y)
 
 
@@ -333,7 +325,8 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
     itself, while an inserted k absorbs entries of beta until the block's
     running f-statistic first reaches -1. The remainder of beta is
     appended unchanged. Validates the pair, then runs the core: the zeros'
-    count makes each absorption complete, and the result's shape is self-checked.
+    count makes each absorption complete, and the result is a valid
+    marked-pair word with parameters (k, n, |X|) by construction.
     """
     k, n = pair.k, pair.n
     if k < 1 or n < 0:
@@ -346,13 +339,7 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
         raise ValueError(
             f"|X| + |Y| must equal n={n}, got {len(pair.X)} + {len(pair.Y)}"
         )
-    word = _phi_inverse(pair)
-    derived = kary_word_parameters(word, k)
-    if derived != (k, n, len(pair.X)):
-        raise AssertionError(
-            f"rebuilt word has parameters {derived}, expected {(k, n, len(pair.X))}"
-        )
-    return word
+    return _phi_inverse(pair)
 
 
 def _phi_inverse(pair: "SubsetPair") -> Composition:
@@ -365,10 +352,6 @@ def _phi_inverse(pair: "SubsetPair") -> Composition:
             out.append(k)
             f = k - 1
             while f >= 0:
-                if pos >= len(beta):
-                    raise AssertionError(
-                        f"insertion ran out of entries for pair {pair!r}"
-                    )
                 part = beta[pos]
                 pos += 1
                 out.append(part)
@@ -396,10 +379,12 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
     words: list[list[Composition]] = [[(k,) + (0,) * k]]
     for budget in range(1, n + 1):
         result: list[Composition] = []
-        for mask in range(1, 1 << k):
-            filled = [j for j in range(k) if mask >> j & 1]
-            if len(filled) > budget:
-                continue
+        # At most ``budget`` slots can be filled: only those slot sets, in
+        # ascending bitmask order.
+        slot_sets = (
+            filled for size in range(1, min(k, budget) + 1) for filled in combinations(range(k), size)
+        )
+        for filled in sorted(slot_sets, key=lambda filled: sum(1 << j for j in filled)):
             for parts in enumerate_compositions(budget - len(filled), len(filled)):
                 for combo in product(*(words[b] for b in parts)):
                     slots: list[Composition] = [(0,)] * k
@@ -418,10 +403,7 @@ def count_kary_outdegree_bruteforce(k: int, n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
-    total = 0
-    for t in enumerate_kary_trees(k, n):
-        total += sum(1 for d in kary_preorder_outdegrees(t) if d == i)
-    return total
+    return sum(kary_preorder_outdegrees(t).count(i) for t in enumerate_kary_trees(k, n))
 
 
 @dataclass(frozen=True)
@@ -525,14 +507,4 @@ def format_marked_kary_tree(m: MarkedKaryTree) -> str:
 
 
 def parse_marked_kary_tree(text: str, arity: int | None = None) -> MarkedKaryTree:
-    tree_part, sep, mark_part = text.rpartition("@")
-    if not sep:
-        raise ValueError(f"marked tree must end with '@<mark>': {text!r}")
-    try:
-        mark = int(mark_part)
-    except ValueError:
-        raise ValueError(f"mark must be an integer: {mark_part!r}") from None
-    tree = parse_kary_tree(tree_part, arity)
-    if not 1 <= mark <= tree.vertex_count:
-        raise ValueError(f"mark {mark} out of range 1..{tree.vertex_count}")
-    return MarkedKaryTree(tree, mark)
+    return MarkedKaryTree(*_parse_marked(text, partial(parse_kary_tree, arity=arity)))

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from ._limits import PLANE_EDGE_LIMIT, check_guard
 from .compositions import Composition, as_composition, fundamental_decomposition, is_unit
@@ -207,14 +207,8 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
 def _bar_delta_decode(
     units: tuple[Composition, ...], tail: Composition, i: int
 ) -> MarkedPlaneTree:
-    # bar_delta_decode past its length and sum checks, on the decomposed word.
-    s = len(units)
-    tail_f = sum(tail) - len(tail)
-    if tail_f != s - i or s < i:
-        word = (*chain.from_iterable(units), *tail)
-        raise AssertionError(
-            f"decomposition out of balance for {word!r}: s={s}, f(tail)={tail_f}, i={i}"
-        )
+    # bar_delta_decode past its length and sum checks, on the decomposed
+    # word. The sum check makes f(word) = -i, so f(tail) = len(units) - i.
     alpha = (*tail, i, *chain.from_iterable(units))
     if not is_unit(alpha):
         raise AssertionError(f"rebuilt word is not a unit composition: {alpha!r}")
@@ -276,6 +270,14 @@ def format_marked_plane_tree(m: MarkedPlaneTree) -> str:
 
 
 def parse_marked_plane_tree(text: str) -> MarkedPlaneTree:
+    return MarkedPlaneTree(*_parse_marked(text, parse_plane_tree))
+
+
+_Tree = TypeVar("_Tree")
+
+
+def _parse_marked(text: str, parse_tree: Callable[[str], _Tree]) -> tuple[_Tree, int]:
+    # Split "<tree>@<mark>", parse the tree, and check the mark's range.
     tree_part, sep, mark_part = text.rpartition("@")
     if not sep:
         raise ValueError(f"marked tree must end with '@<mark>': {text!r}")
@@ -283,7 +285,7 @@ def parse_marked_plane_tree(text: str) -> MarkedPlaneTree:
         mark = int(mark_part)
     except ValueError:
         raise ValueError(f"mark must be an integer: {mark_part!r}") from None
-    tree = parse_plane_tree(tree_part)
+    tree = parse_tree(tree_part)
     if not 1 <= mark <= tree.vertex_count:
         raise ValueError(f"mark {mark} out of range 1..{tree.vertex_count}")
-    return MarkedPlaneTree(tree, mark)
+    return tree, mark

@@ -60,6 +60,7 @@ RESIDUAL_ORDER = 30
 CATALAN_POWER_RANGE = (20, 10)  # (largest n, largest power l)
 KARY_POWER_RANGE = (12, 6)
 DERIVATIVE_ORDER = 12
+PLANE_DERIVATIVE_MAX_OUTDEGREE = 10  # the plane derivative series run for i = 0..this
 
 
 @dataclass
@@ -292,12 +293,13 @@ def _check_naive_power_law_counterexample() -> CheckResult:
 def _check_plane_derivative(order: int) -> CheckResult:
     def failures() -> Iterator[str]:
         # The series asserts each coefficient against the closed form.
-        for i in range(0, 11):
+        for i in range(0, PLANE_DERIVATIVE_MAX_OUTDEGREE + 1):
             plane_derivative_series(i, order)
         yield from ()
 
     name = "plane vertex-marking derivative series vs closed form"
-    return _check(name, f"i=0..10, coefficients 1..{order}", failures())
+    scope = f"i=0..{PLANE_DERIVATIVE_MAX_OUTDEGREE}, coefficients 1..{order}"
+    return _check(name, scope, failures())
 
 
 def _check_kary_derivative(max_arity: int, order: int) -> CheckResult:

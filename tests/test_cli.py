@@ -1,14 +1,17 @@
 import hashlib
+import importlib
 import json
 
 import pytest
 
 from treedegree import (
     MarkedKaryTree,
+    bar_delta_decode,
     format_composition,
     format_kary_tree,
     format_marked_kary_tree,
     format_plane_tree,
+    kary_pair_to_composition,
 )
 from treedegree.cli import main
 from golden import (
@@ -378,3 +381,60 @@ class TestWordNative:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _tail_heavy(honest):
+    # Moves the last unit block to the front of the tail.
+    def decompose(word):
+        units, tail = honest(word)
+        return units[:-1], units[-1] + tail
+
+    return decompose
+
+
+def _one_more_slot(honest):
+    return lambda tree: tuple(d + 1 for d in honest(tree))
+
+
+@pytest.mark.parametrize(
+    "module, attr, fault, call, argv, message",
+    [
+        (
+            "plane_trees",
+            "fundamental_decomposition",
+            _tail_heavy,
+            lambda: bar_delta_decode(SAMPLE_CYCLIC_WORD, 2),
+            ["decode", "plane-pair", "--word", format_composition(SAMPLE_CYCLIC_WORD)],
+            "rebuilt word is not a unit composition",
+        ),
+        (
+            "kary_trees",
+            "kary_preorder_outdegrees",
+            _one_more_slot,
+            lambda: kary_pair_to_composition(
+                MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)
+            ),
+            [
+                "encode",
+                "kary-pair",
+                "--tree",
+                format_kary_tree(SAMPLE_TERNARY_8),
+                "--mark",
+                str(SAMPLE_TERNARY_MARK),
+            ],
+            "disagree with the marked tree",
+        ),
+    ],
+    ids=["decoded-word-is-unit", "encoded-parameters-match-tree"],
+)
+def test_kept_self_checks_fire(monkeypatch, capsys, module, attr, fault, call, argv, message):
+    # The two self-checks that tie a codec word to a tree: a decoded word
+    # must be a unit composition, and an encoded word's (k, n, i) must
+    # match the marked tree.
+    target = importlib.import_module(f"treedegree.{module}")
+    monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
+    with pytest.raises(AssertionError, match=message):
+        call()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("consistency failure: ") and message in err

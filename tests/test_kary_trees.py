@@ -1,5 +1,6 @@
 import importlib
-from itertools import combinations
+import time
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from treedegree import (
     count_kary_outdegree,
     count_kary_outdegree_bruteforce,
     delta_decode,
+    enumerate_compositions,
     enumerate_kary_trees,
     f_statistic,
     format_kary_tree,
@@ -139,8 +141,8 @@ class TestWordCodec:
     def test_shape_implies_the_block_structure(self):
         # Cycle lemma: f of a shape-valid word is -k, each unit block adds
         # -1 and the positive tail f(tail) >= 0, so there are exactly
-        # k + f(tail) >= k unit blocks and the "block structure" self-check
-        # never fires after the shape checks pass.
+        # k + f(tail) >= k unit blocks and the codec needs no block check
+        # after the shape checks pass.
         words = 0
         for k in range(1, 5):
             for n in range(12 // k + 1):
@@ -230,7 +232,38 @@ class TestSubsetCodec:
                 assert len(words) == count_kary_outdegree(n, k, i)
 
 
+def _mask_loop_words(k, n):
+    # Reference order: every one of the 2^k - 1 filled-slot masks per edge
+    # budget in ascending order, skipping masks with more slots than edges.
+    words = [[(k,) + (0,) * k]]
+    for budget in range(1, n + 1):
+        result = []
+        for mask in range(1, 1 << k):
+            filled = [j for j in range(k) if mask >> j & 1]
+            if len(filled) > budget:
+                continue
+            for parts in enumerate_compositions(budget - len(filled), len(filled)):
+                for combo in product(*(words[b] for b in parts)):
+                    slots = [(0,)] * k
+                    for slot_index, sub in zip(filled, combo):
+                        slots[slot_index] = sub
+                    result.append((k, *chain.from_iterable(slots)))
+        words.append(result)
+    return words[n]
+
+
 class TestEnumeration:
+    def test_same_order_as_the_mask_loop(self):
+        for k in range(1, 7):
+            for n in range(12 // k + 1):
+                assert [t.word for t in enumerate_kary_trees(k, n)] == _mask_loop_words(k, n)
+
+    def test_high_arity_walks_only_fillable_slot_sets(self):
+        # 2^24 - 1 masks per budget would take tens of seconds.
+        start = time.perf_counter()
+        assert sum(1 for _ in enumerate_kary_trees(24, 1)) == 24
+        assert time.perf_counter() - start < 0.5
+
     def test_counts(self):
         assert sum(1 for _ in enumerate_kary_trees(2, 2)) == 5
         assert sum(1 for _ in enumerate_kary_trees(2, 3)) == 14
