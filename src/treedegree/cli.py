@@ -33,10 +33,11 @@ from .kary_trees import (
 )
 from .plane_trees import (
     MarkedPlaneTree,
+    _format_plane_word,
+    _plane_words,
     bar_delta_decode,
     delta_decode,
     bar_delta_encode,
-    enumerate_plane_trees,
     format_marked_plane_tree,
     format_plane_tree,
     parse_plane_tree,
@@ -183,21 +184,23 @@ def _cmd_count_kary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
-    trees = [format_plane_tree(t) for t in enumerate_plane_trees(args.edges)]
-    fields = {"family": "plane", "n": str(args.edges), "count": str(len(trees)), "trees": trees}
-    _emit(args, "enumerate", fields, "\n".join(trees))
+def _emit_trees(args: argparse.Namespace, fields: dict, trees: list[str]) -> int:
+    """Emit an enumeration: the count and the trees follow ``fields``. The
+    text form is joined only for text output (350 kB at plane n = 10)."""
+    fields.update(count=str(len(trees)), trees=trees)
+    _emit(args, "enumerate", fields, "\n".join(trees) if args.format == "text" else "")
     return 0
+
+
+def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
+    trees = list(map(_format_plane_word, _plane_words(args.edges)))
+    return _emit_trees(args, {"family": "plane", "n": str(args.edges)}, trees)
 
 
 def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
     trees = [format_kary_tree(t) for t in enumerate_kary_trees(args.arity, args.edges)]
-    fields = {
-        "family": "kary", "k": str(args.arity), "n": str(args.edges),
-        "count": str(len(trees)), "trees": trees,
-    }
-    _emit(args, "enumerate", fields, "\n".join(trees))
-    return 0
+    fields = {"family": "kary", "k": str(args.arity), "n": str(args.edges)}
+    return _emit_trees(args, fields, trees)
 
 
 def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:

@@ -23,9 +23,14 @@ a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
-core on the word's validated structure or a built word. The cores keep two
+core on the word's validated structure or a built word. The cores take and
+return plain words and ints: a tree's completion word and its mark, and
+(X, Y) as ascending tuples. The public functions build the
+:class:`MarkedKaryTree` or :class:`SubsetPair` from them, and the
+verification sweeps call the cores and compare words. The cores keep two
 self-checks, which tie a word to a tree: a decoded word must be a unit
-composition, and an encoded word's (k, n, i) must match the marked tree.
+composition, and an encoded word's (k, n, i) must match the marked tree,
+whose i the encoder counts off the marked vertex's own slots.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import accumulate, chain, combinations, compress, count, islice, product
+from operator import indexOf
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._limits import KARY_EDGE_LIMIT, check_guard
 from .compositions import (
@@ -43,12 +49,11 @@ from .compositions import (
     fundamental_decomposition,
 )
 from .plane_trees import (
-    MarkedPlaneTree,
     PlaneTree,
     _bar_delta_decode,
+    _bar_delta_encode,
     _parse_marked,
     _plane_tree,
-    bar_delta_encode,
 )
 
 __all__ = [
@@ -197,9 +202,9 @@ def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure
     # The checks of kary_word_parameters.
     if not word:
         raise ValueError("entry shape: word is empty")
-    if any(part < 0 for part in word):
+    if min(word) < 0:
         raise ValueError("entry shape: entries must be nonnegative")
-    values = {part for part in word if part != 0}
+    values = set(word) - {0}
     if len(values) > 1:
         raise ValueError(
             f"entry shape: entries must be 0 or the arity, found {sorted(values)}"
@@ -217,7 +222,7 @@ def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure
             f"entry shape: length {len(word)} is not a multiple of arity {k}"
         )
     n = len(word) // k - 1
-    k_count = sum(1 for part in word if part != 0)
+    k_count = len(word) - word.count(0)
     if k_count != n:
         raise ValueError(
             f"entry shape: expected {n} copies of {k} in a word of length {len(word)}, "
@@ -230,28 +235,50 @@ def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
     """Encode a marked k-ary tree as a 0/k word of length k(n+1).
 
-    Checks the mark, then the core takes the completion's cyclic outdegree
-    word at the mark's image (internal, with outdegree k) and self-checks
-    its (k, n, i) against the tree.
+    Checks the mark and counts the marked vertex's filled slots on the
+    tree's word, not the encoded one. The core then takes the completion's
+    cyclic outdegree word at the mark's image (internal, with outdegree k)
+    and self-checks its (k, n, i) against the tree.
     """
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
         raise ValueError(f"mark {m.mark} out of range 1..{t.vertex_count}")
-    completed, index_map = complete(t)
-    i = kary_preorder_outdegrees(t)[m.mark - 1]
-    return _kary_pair_to_composition(t, completed, index_map[m.mark - 1], i)[0]
+    # The mark's completion index: where the count of nonzero entries reaches it.
+    position = indexOf(accumulate(map(bool, t.word)), m.mark) + 1
+    i = _filled_slots(t.word, position)
+    return _kary_pair_to_composition(t.arity, t.edge_count, t.word, position, i)[0]
+
+
+def _filled_slots(word: Composition, position: int) -> int:
+    # Filled slots of the vertex at 1-based ``position`` of a completion
+    # word: its slots are the next unit blocks, one per slot, and a filled
+    # slot's block starts with k.
+    filled, start = 0, position
+    for _ in range(word[position - 1]):
+        filled += word[start] != 0
+        start = _block_end(word, start)
+    return filled
+
+
+def _block_end(word: Sequence[int], start: int, height: int = 0) -> int:
+    # The end of the shortest run word[start:end] whose f-statistic, added
+    # to ``height``, reaches -1: the unit block from ``start`` when height
+    # is 0. The scan runs in C.
+    steps = accumulate(map((-1).__add__, islice(word, start, None)), initial=height)
+    return start + indexOf(steps, -1)
 
 
 def _kary_pair_to_composition(
-    t: KaryTree, completed: PlaneTree, position: int, i: int
+    k: int, n: int, tree_word: Composition, position: int, i: int
 ) -> tuple[Composition, _WordStructure]:
-    # t's word marked at completion index ``position`` (i filled slots), and its structure.
-    word = bar_delta_encode(MarkedPlaneTree(completed, position))
-    structure = _kary_word_structure(word, t.arity)
-    if structure[:3] != (t.arity, t.edge_count, i):
+    # The completion word ``tree_word`` of a k-ary tree with n edges, marked
+    # at index ``position`` (i filled slots), and the structure of that word.
+    word = _bar_delta_encode(tree_word, position)
+    structure = _kary_word_structure(word, k)
+    if structure[:3] != (k, n, i):
         raise AssertionError(
             f"encoded word parameters {structure[:3]} disagree with the marked tree "
-            f"{(t.arity, t.edge_count, i)}"
+            f"{(k, n, i)}"
         )
     return word, structure
 
@@ -275,17 +302,18 @@ def composition_to_kary_pair(
         raise ValueError(f"word encodes n={structure[1]}, expected {n}")
     if i is not None and i != structure[2]:
         raise ValueError(f"word encodes outdegree i={structure[2]}, expected {i}")
-    return _composition_to_kary_pair(structure)
+    word, mark = _composition_to_kary_pair(structure)
+    return MarkedKaryTree(_kary_tree(structure[0], word), mark)
 
 
-def _composition_to_kary_pair(structure: _WordStructure) -> MarkedKaryTree:
+def _composition_to_kary_pair(structure: _WordStructure) -> tuple[Composition, int]:
+    # The decoded tree's word and mark. The rebuilt unit word is the
+    # validated 0/k word, rotated, with k inserted at the mark: it is the
+    # completion of the tree with that word, and the mark is the count of
+    # internal vertices up to the position.
     k, _, _, units, tail = structure
-    completed, position = _bar_delta_decode(units, tail, k)
-    # The rebuilt unit word is the validated 0/k word, rotated, with k
-    # inserted at the mark: it is the completion of the tree with that word,
-    # and the mark is the count of internal vertices up to the position.
-    tree = _kary_tree(k, completed.word)
-    return MarkedKaryTree(tree, position - tree.word[:position].count(0))
+    word, position = _bar_delta_decode(units, tail, k)
+    return word, position - word[:position].count(0)
 
 
 def phi(
@@ -301,20 +329,20 @@ def phi(
     structure = _kary_word_structure(tuple(word), arity)
     if edges is not None and edges != structure[1]:
         raise ValueError(f"word encodes n={structure[1]}, expected {edges}")
-    return _phi(structure)
+    x, y = _phi(structure)
+    return SubsetPair(structure[0], structure[1], frozenset(x), frozenset(y))
 
 
-def _phi(structure: _WordStructure) -> "SubsetPair":
-    k, n, _, units, tail = structure
-    x = frozenset(j + 1 for j in range(k) if units[j][0] == k)
-    beta: list[int] = []
-    for unit in units[:k]:
-        beta.extend(unit[1:])
-    for unit in units[k:]:
-        beta.extend(unit)
-    beta.extend(tail)
-    y = frozenset(pos + 1 for pos, part in enumerate(beta) if part != 0)
-    return SubsetPair(k, n, x, y)
+def _phi(structure: _WordStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (X, Y) as ascending tuples.
+    k, _, _, units, tail = structure
+    x = tuple(j + 1 for j in range(k) if units[j][0] == k)
+    beta = chain(
+        chain.from_iterable(unit[1:] for unit in units[:k]),
+        chain.from_iterable(units[k:]),
+        tail,
+    )
+    return x, tuple(compress(count(1), beta))
 
 
 def phi_inverse(pair: "SubsetPair") -> Composition:
@@ -339,25 +367,25 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
         raise ValueError(
             f"|X| + |Y| must equal n={n}, got {len(pair.X)} + {len(pair.Y)}"
         )
-    return _phi_inverse(pair)
+    return _phi_inverse(k, n, pair.X, pair.Y)
 
 
-def _phi_inverse(pair: "SubsetPair") -> Composition:
-    k = pair.k
-    beta = [k if j in pair.Y else 0 for j in range(1, k * pair.n + 1)]
+def _phi_inverse(k: int, n: int, x: Iterable[int], y: Iterable[int]) -> Composition:
+    # The word of a valid (X, Y); the order of X and Y does not matter.
+    beta = [0] * (k * n)
+    for j in y:
+        beta[j - 1] = k
+    leaders = [0] * k
+    for j in x:
+        leaders[j - 1] = k
     out: list[int] = []
     pos = 0
-    for j in range(1, k + 1):
-        if j in pair.X:
-            out.append(k)
-            f = k - 1
-            while f >= 0:
-                part = beta[pos]
-                pos += 1
-                out.append(part)
-                f += part - 1
-        else:
-            out.append(0)
+    for leader in leaders:
+        out.append(leader)
+        if leader:
+            end = _block_end(beta, pos, k - 1)
+            out.extend(beta[pos:end])
+            pos = end
     out.extend(beta[pos:])
     return tuple(out)
 

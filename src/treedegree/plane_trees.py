@@ -9,12 +9,15 @@ and every operation here is a flat scan of it (:func:`preorder_outdegrees`
 outdegree i and deleting its entry from the cyclic outdegree word gives a
 bijection between marked trees and arbitrary n-part compositions of n - i
 (:func:`bar_delta_encode` / :func:`bar_delta_decode`); the inverse reads
-the fundamental decomposition of the word.
+the fundamental decomposition of the word. Their private cores take and
+return words and marks, and the public functions wrap those in
+:class:`MarkedPlaneTree`.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
 brute-force oracle for the closed-form counts; it runs an odometer over
 each word's leading parts only and joins every prefix to a cached table
-of the suffixes that finish it.
+of the suffixes that finish it. The oracles read the words themselves,
+from the same guarded generator, without wrapping each in a tree.
 """
 
 from __future__ import annotations
@@ -166,10 +169,15 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
     Order is lexicographic in the preorder outdegree word. Guarded: see
     :mod:`treedegree._limits`.
     """
+    yield from map(_plane_tree, _plane_words(n))
+
+
+def _plane_words(n: int) -> Iterator[Composition]:
+    # The words of enumerate_plane_trees, guarded the same way.
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard("plane-tree enumeration", n, PLANE_EDGE_LIMIT)
-    yield from map(_plane_tree, _unit_words(n))
+    yield from _unit_words(n)
 
 
 def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
@@ -182,7 +190,12 @@ def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
     word = m.tree.word
     if not 1 <= m.mark <= len(word):
         raise ValueError(f"mark {m.mark} out of range 1..{len(word)}")
-    return word[m.mark :] + word[: m.mark - 1]
+    return _bar_delta_encode(word, m.mark)
+
+
+def _bar_delta_encode(word: Composition, mark: int) -> Composition:
+    # The rotation of bar_delta_encode, on a unit word and a mark in range.
+    return word[mark:] + word[: mark - 1]
 
 
 def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
@@ -201,18 +214,20 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
         raise ValueError(
             f"word of length {n} with sum {sum(word)} does not match outdegree {i}"
         )
-    return _bar_delta_decode(*fundamental_decomposition(word), i)
+    alpha, mark = _bar_delta_decode(*fundamental_decomposition(word), i)
+    return MarkedPlaneTree(_plane_tree(alpha), mark)
 
 
 def _bar_delta_decode(
     units: tuple[Composition, ...], tail: Composition, i: int
-) -> MarkedPlaneTree:
+) -> tuple[Composition, int]:
     # bar_delta_decode past its length and sum checks, on the decomposed
-    # word. The sum check makes f(word) = -i, so f(tail) = len(units) - i.
+    # word: the tree's word and the mark. The sum check makes
+    # f(word) = -i, so f(tail) = len(units) - i.
     alpha = (*tail, i, *chain.from_iterable(units))
     if not is_unit(alpha):
         raise AssertionError(f"rebuilt word is not a unit composition: {alpha!r}")
-    return MarkedPlaneTree(_plane_tree(alpha), len(tail) + 1)
+    return alpha, len(tail) + 1
 
 
 def count_outdegree_bruteforce(n: int, i: int) -> int:
@@ -222,7 +237,7 @@ def count_outdegree_bruteforce(n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
-    return sum(t.word.count(i) for t in enumerate_plane_trees(n))
+    return sum(word.count(i) for word in _plane_words(n))
 
 
 def format_plane_tree(t: PlaneTree) -> str:
@@ -231,9 +246,14 @@ def format_plane_tree(t: PlaneTree) -> str:
     The single vertex renders as the empty string; a root with two leaf
     children renders as ``()()``.
     """
+    return _format_plane_word(t.word)
+
+
+def _format_plane_word(word: Composition) -> str:
+    # format_plane_tree on the tree's word.
     out: list[str] = []
     pending: list[int] = []  # children still to come, per open vertex
-    for degree in t.word:
+    for degree in word:
         if pending:
             pending[-1] -= 1
             out.append("(")

@@ -18,10 +18,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exact_math
 from ._limits import GuardError
-from .compositions import Composition
+from .compositions import Composition, fundamental_decomposition
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
-    MarkedKaryTree,
     _composition_to_kary_pair,
     _kary_pair_to_composition,
     _phi,
@@ -32,11 +31,10 @@ from .kary_trees import (
     uncomplete,
 )
 from .plane_trees import (
-    MarkedPlaneTree,
-    bar_delta_decode,
-    bar_delta_encode,
+    _bar_delta_decode,
+    _bar_delta_encode,
+    _plane_words,
     delta_decode,
-    enumerate_plane_trees,
     preorder_outdegrees,
 )
 from .series import (
@@ -126,7 +124,7 @@ def _histogram(words: Iterable[Composition]) -> tuple[int, Counter[int]]:
 def check_plane_counts(max_edges: int) -> CheckResult:
     def failures() -> Iterator[str]:
         for n in range(1, max_edges + 1):
-            tree_count, totals = _histogram(map(preorder_outdegrees, enumerate_plane_trees(n)))
+            tree_count, totals = _histogram(_plane_words(n))
             if tree_count != catalan(n):
                 yield f"n={n}: enumerated {tree_count} trees, expected {catalan(n)}"
             for i in range(0, n + 1):
@@ -202,7 +200,7 @@ def check_fine_numbers(max_edges: int) -> CheckResult:
     def failures() -> Iterator[str]:
         for n in range(1, max_edges + 1):
             formula = exact_math.count_odd_outdegree(n)
-            _, totals = _histogram(map(preorder_outdegrees, enumerate_plane_trees(n)))
+            _, totals = _histogram(_plane_words(n))
             brute = sum(c for d, c in totals.items() if d % 2 == 1)
             if brute != formula:
                 yield f"n={n}: enumeration {brute} != formula {formula}"
@@ -326,7 +324,8 @@ def check_bijections(max_edges: int, cells: Iterable[tuple[int, int]]) -> list[C
     """Run the paper's bijections as round trips over every tree in range.
 
     One enumeration pass per plane size and per k-ary cell feeds all the
-    checks of that family.
+    checks of that family. The passes run the codec cores and compare
+    words and marks, not tree objects.
     """
     cells = list(cells)
     plane = [
@@ -341,24 +340,22 @@ def check_bijections(max_edges: int, cells: Iterable[tuple[int, int]]) -> list[C
 def _plane_bijections(max_edges: int) -> Iterator[tuple[str, str]]:
     for n in range(0, max_edges + 1):
         seen: dict[int, list[Composition]] = {i: [] for i in range(n + 1)}
-        for tree in enumerate_plane_trees(n):
-            word = preorder_outdegrees(tree)
+        for word in _plane_words(n):
             try:
-                if delta_decode(word) != tree:
+                if preorder_outdegrees(delta_decode(word)) != word:
                     yield WORD_TRIP, f"decode(encode) changed a tree at n={n}"
             except ValueError:
                 yield WORD_TRIP, f"word {word!r} is not a unit composition"
             # The single vertex (n = 0) has an empty cyclic word: no marks.
-            for mark in range(1, len(word) + 1) if n else ():
-                marked = MarkedPlaneTree(tree, mark)
+            for mark, i in enumerate(word, 1) if n else ():
                 try:
-                    encoded = bar_delta_encode(marked)
-                    seen[word[mark - 1]].append(encoded)
-                    decoded = bar_delta_decode(encoded, word[mark - 1])
+                    encoded = _bar_delta_encode(word, mark)
+                    seen[i].append(encoded)
+                    decoded = _bar_delta_decode(*fundamental_decomposition(encoded), i)
                 except (AssertionError, ValueError) as exc:
                     yield MARKED_TRIP, str(exc)
                     continue
-                if decoded != marked:
+                if decoded != (word, mark):
                     yield MARKED_TRIP, f"round trip failed at n={n}, mark={mark}"
         # The encodings of n-edge marked trees, by marked outdegree i, cover
         # the n-part compositions of n - i exactly once. By stars and bars
@@ -368,9 +365,10 @@ def _plane_bijections(max_edges: int) -> Iterator[tuple[str, str]]:
         for i in range(0, n + 1) if n else ():
             encodings = seen[i]
             expected = count_plane_outdegree(n, i)
+            shapes = set(zip(map(len, encodings), map(sum, encodings)))  # (length, sum)
             if len(encodings) != expected:
                 yield COVER, f"n={n} i={i}: {len(encodings)} marked pairs, formula {expected}"
-            elif any(len(e) != n or sum(e) != n - i or min(e) < 0 for e in encodings):
+            elif shapes != {(n, n - i)} or min(map(min, encodings)) < 0:
                 yield COVER, f"n={n} i={i}: an encoding is not an {n}-part composition of {n - i}"
             elif len(set(encodings)) != len(encodings):
                 yield COVER, f"n={n} i={i}: duplicate encodings"
@@ -378,8 +376,8 @@ def _plane_bijections(max_edges: int) -> Iterator[tuple[str, str]]:
 
 def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
     for k, n in cells:
-        # Each phi image as sorted (X, Y): a SubsetPair with its two
-        # frozensets takes about 1 kB, and a cell can have thousands.
+        # Each phi image as the core's ascending (X, Y) tuples: a SubsetPair
+        # with its two frozensets takes about 1 kB, and a cell can have thousands.
         images: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         for tree in enumerate_kary_trees(k, n):
             completed, index_map = complete(tree)
@@ -394,20 +392,17 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
                 )
             # The codec cores on each pair's word structure, derived once; the round trips check.
             outdegrees = kary_preorder_outdegrees(tree)
-            for mark in range(1, tree.vertex_count + 1):
-                marked = MarkedKaryTree(tree, mark)
+            for mark, (position, i) in enumerate(zip(index_map, outdegrees), 1):
                 try:
-                    word, structure = _kary_pair_to_composition(
-                        tree, completed, index_map[mark - 1], outdegrees[mark - 1]
-                    )
+                    word, structure = _kary_pair_to_composition(k, n, tree.word, position, i)
                     decoded = _composition_to_kary_pair(structure)
-                    pair = _phi(structure)
-                    images.add((tuple(sorted(pair.X)), tuple(sorted(pair.Y))))
-                    rebuilt = _phi_inverse(pair)
+                    x, y = _phi(structure)
+                    images.add((x, y))
+                    rebuilt = _phi_inverse(k, n, x, y)
                 except (AssertionError, ValueError) as exc:
                     yield SUBSETS, str(exc)
                     continue
-                if decoded != marked:
+                if decoded != (tree.word, mark):
                     yield SUBSETS, f"k={k} n={n} mark={mark}: word decode mismatch"
                 elif rebuilt != word:
                     yield SUBSETS, f"k={k} n={n} mark={mark}: subset round trip mismatch"

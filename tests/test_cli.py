@@ -375,6 +375,10 @@ class TestWordNative:
                 ["enumerate", "kary", "-k", "3", "-n", "4"],
                 "ae9ce6210bc0f472a70bfe529fbb85ddb3cd2256dbc49bb48ea6f0852dd9860a",
             ),
+            (
+                ["enumerate", "plane", "-n", "10", "--format", "json"],
+                "d70eeb4e8f2da0456e8f9161a513e7544a17ee46ea4017a8930e0c0944ec246e",
+            ),
         ],
     )
     def test_enumeration_text_is_pinned(self, capsys, argv, digest):
@@ -393,7 +397,7 @@ def _tail_heavy(honest):
 
 
 def _one_more_slot(honest):
-    return lambda tree: tuple(d + 1 for d in honest(tree))
+    return lambda word, position: honest(word, position) + 1
 
 
 @pytest.mark.parametrize(
@@ -409,7 +413,7 @@ def _one_more_slot(honest):
         ),
         (
             "kary_trees",
-            "kary_preorder_outdegrees",
+            "_filled_slots",
             _one_more_slot,
             lambda: kary_pair_to_composition(
                 MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)

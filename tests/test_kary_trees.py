@@ -1,4 +1,5 @@
 import importlib
+import random
 import time
 from itertools import chain, combinations, product
 
@@ -416,7 +417,7 @@ OTHER_MARKED = MarkedKaryTree(SAMPLE_TERNARY_8, 1)
         (
             "kary_trees",
             "_kary_pair_to_composition",
-            (OTHER_WORD, None),
+            ((OTHER_WORD, None), OTHER_WORD),
             lambda: kary_pair_to_composition(
                 MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)
             ),
@@ -424,28 +425,71 @@ OTHER_MARKED = MarkedKaryTree(SAMPLE_TERNARY_8, 1)
         (
             "kary_trees",
             "_composition_to_kary_pair",
-            OTHER_MARKED,
+            ((OTHER_MARKED.tree.word, OTHER_MARKED.mark), OTHER_MARKED),
             lambda: composition_to_kary_pair(SAMPLE_TERNARY_ALPHA),
         ),
-        ("kary_trees", "_phi", OTHER_PAIR, lambda: phi(SAMPLE_TERNARY_ALPHA)),
+        (
+            "kary_trees",
+            "_phi",
+            ((tuple(sorted(OTHER_PAIR.X)), tuple(sorted(OTHER_PAIR.Y))), OTHER_PAIR),
+            lambda: phi(SAMPLE_TERNARY_ALPHA),
+        ),
         (
             "kary_trees",
             "_phi_inverse",
-            OTHER_WORD,
+            (OTHER_WORD, OTHER_WORD),
             lambda: phi_inverse(SubsetPair(3, 8, SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)),
         ),
         (
             "plane_trees",
             "_bar_delta_decode",
-            MarkedPlaneTree(pt(), 1),
+            (((0,), 1), MarkedPlaneTree(pt(), 1)),
             lambda: bar_delta_decode(SAMPLE_CYCLIC_WORD, 2),
         ),
     ],
 )
 def test_public_codec_returns_what_its_core_returns(monkeypatch, module, core, returned, call):
-    # Each wrapper validates and then runs its core: one path, no fork. The
-    # encode core returns the word together with its structure.
-    expected = returned[0] if core == "_kary_pair_to_composition" else returned
+    # Each wrapper validates and then runs its core: one path, no fork. A
+    # core returns words and ints, and the wrapper builds its object from
+    # them; the encode core returns the word together with its structure.
+    from_core, expected = returned
     assert call() != expected
-    monkeypatch.setattr(importlib.import_module(f"treedegree.{module}"), core, lambda *a: returned)
+    monkeypatch.setattr(importlib.import_module(f"treedegree.{module}"), core, lambda *a: from_core)
     assert call() == expected
+
+
+def test_filled_slots_read_one_vertex():
+    # The encoder reads the marked vertex's filled slots off the completion
+    # word alone; they agree with the whole-tree pass at every vertex.
+    import treedegree.kary_trees as kary_trees
+
+    for k in range(1, 5):
+        for n in range(12 // k + 1):
+            for tree in enumerate_kary_trees(k, n):
+                positions = [pos for pos, part in enumerate(tree.word, 1) if part]
+                filled = [kary_trees._filled_slots(tree.word, pos) for pos in positions]
+                assert filled == list(kary_preorder_outdegrees(tree))
+
+
+def test_word_cores_round_trip_past_enumeration():
+    # Seeded subset pairs far past the enumeration guard, through the word
+    # cores: phi inverse, decode, encode at the decoded mark, phi.
+    import treedegree.kary_trees as kary_trees
+
+    rng = random.Random(20150129)
+    for k in range(1, 5):
+        for n in range(61):
+            i = rng.randint(0, min(k, n))
+            x = tuple(sorted(rng.sample(range(1, k + 1), i)))
+            y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
+            word = kary_trees._phi_inverse(k, n, x, y)
+            structure = kary_trees._kary_word_structure(word, k)
+            assert structure[:3] == (k, n, i)
+            tree_word, mark = kary_trees._composition_to_kary_pair(structure)
+            position = [pos for pos, part in enumerate(tree_word, 1) if part][mark - 1]
+            filled = kary_trees._filled_slots(tree_word, position)
+            encoded, encoded_structure = kary_trees._kary_pair_to_composition(
+                k, n, tree_word, position, filled
+            )
+            assert encoded == word
+            assert kary_trees._phi(encoded_structure) == (x, y)

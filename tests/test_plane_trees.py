@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from treedegree import (
     enumerate_plane_trees,
     format_marked_plane_tree,
     format_plane_tree,
+    fundamental_decomposition,
     is_unit,
     outdegree_histogram,
     parse_marked_plane_tree,
@@ -300,3 +303,28 @@ def test_word_is_the_representation():
     assert {delta_decode((2, 0, 0)), CHERRY} == {CHERRY}
     with pytest.raises(ValueError):
         delta_decode((2, -1))  # f-statistic is unit-shaped, but a part is negative
+
+
+def _uniform_composition(rng, total, parts):
+    # Stars and bars: parts - 1 bars among total + parts - 1 places.
+    places = total + parts - 1
+    bars = sorted(rng.sample(range(places), parts - 1))
+    return tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
+
+
+def test_word_cores_round_trip_past_enumeration():
+    # Seeded compositions far past the enumeration guard: the decode core
+    # gives a unit word marked at outdegree i, and the encode core gives the
+    # composition back. At n <= 20 and every tenth n, every mark of the
+    # decoded word round-trips as well.
+    rng = random.Random(20150129)
+    for n in range(1, 201):
+        i = rng.randint(0, n)
+        composition = _uniform_composition(rng, n - i, n)
+        word, mark = plane_module._bar_delta_decode(*fundamental_decomposition(composition), i)
+        assert is_unit(word) and len(word) == n + 1 and word[mark - 1] == i
+        assert plane_module._bar_delta_encode(word, mark) == composition
+        for other in range(1, n + 2) if n <= 20 or n % 10 == 0 else ():
+            encoded = plane_module._bar_delta_encode(word, other)
+            decomposed = fundamental_decomposition(encoded)
+            assert plane_module._bar_delta_decode(*decomposed, word[other - 1]) == (word, other)

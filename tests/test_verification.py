@@ -6,7 +6,16 @@ from collections import Counter
 
 import pytest
 
-from treedegree import MarkedPlaneTree, SubsetPair, kary_leaf, verification
+from treedegree import (
+    MarkedKaryTree,
+    MarkedPlaneTree,
+    SubsetPair,
+    bar_delta_decode,
+    composition_to_kary_pair,
+    kary_leaf,
+    phi,
+    verification,
+)
 from treedegree.cli import main
 
 WORD_TRIP = "plane tree <-> outdegree word round trip"
@@ -31,7 +40,7 @@ def test_one_enumeration_per_family_and_size(monkeypatch):
 
         return wrapper
 
-    for family, attr in (("plane", "enumerate_plane_trees"), ("kary", "enumerate_kary_trees")):
+    for family, attr in (("plane", "_plane_words"), ("kary", "enumerate_kary_trees")):
         monkeypatch.setattr(verification, attr, counting(family, getattr(verification, attr)))
     results = verification.check_bijections(MAX_EDGES, CELLS)
     assert [r.name for r in results] == NAMES and all(r.passed for r in results)
@@ -46,28 +55,28 @@ def _path_for_large(honest):
 
 
 def _reverse_encoding(honest):
-    return lambda marked: honest(marked)[::-1]
+    return lambda word, mark: honest(word, mark)[::-1]
 
 
 def _zero_after_first_mark(honest):
     # Right count, still distinct, but mark 1's word is one part too long.
-    return lambda marked: honest(marked) + (0,) * (marked.mark == 1)
+    return lambda word, mark: honest(word, mark) + (0,) * (mark == 1)
 
 
 def _shift_mark(honest):
-    def decode(word, i):
-        tree, mark = honest(word, i)
-        return MarkedPlaneTree(tree, mark % tree.vertex_count + 1)
+    def decode(units, tail, i):
+        word, mark = honest(units, tail, i)
+        return word, mark % len(word) + 1
 
     return decode
 
 
 def _first_tree_twice(honest):
-    def enumerate_trees(n):
-        trees = list(honest(n))
-        return [trees[0], *trees]
+    def enumerate_words(n):
+        words = list(honest(n))
+        return [words[0], *words]
 
-    return enumerate_trees
+    return enumerate_words
 
 
 def _leaf_for_all(honest):
@@ -77,22 +86,31 @@ def _leaf_for_all(honest):
 def _mirror_y(honest):
     def compress(structure):
         k, n = structure[:2]
-        pair = honest(structure)
-        return SubsetPair(k, n, pair.X, frozenset(k * n + 1 - y for y in pair.Y))
+        x, y = honest(structure)
+        return x, tuple(sorted(k * n + 1 - j for j in y))
 
     return compress
 
 
 def _reverse_word(honest):
-    return lambda pair: honest(pair)[::-1]
+    return lambda k, n, x, y: honest(k, n, x, y)[::-1]
 
 
 def _off_subset_count(honest):
     return lambda top, bottom: honest(top, bottom) + ((top, bottom) == (3, 1))
 
 
+# The sweeps run these seams where the ids name the public function: the
+# private codec cores, and the word generator behind enumerate_plane_trees.
+SEAMS = {
+    "bar_delta_encode": "_bar_delta_encode",
+    "bar_delta_decode": "_bar_delta_decode",
+    "enumerate_plane_trees": "_plane_words",
+}
+
+
 @pytest.mark.parametrize(
-    "attr, fault, failing",
+    "step, fault, failing",
     [
         ("delta_decode", _path_for_large, {WORD_TRIP}),
         ("bar_delta_encode", _reverse_encoding, {MARKED_TRIP}),
@@ -105,7 +123,8 @@ def _off_subset_count(honest):
         ("bar_delta_encode", _zero_after_first_mark, {MARKED_TRIP, COVER}),
     ],
 )
-def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
+def test_each_check_fails_under_its_fault(monkeypatch, step, fault, failing):
+    attr = SEAMS.get(step, step)
     monkeypatch.setattr(verification, attr, fault(getattr(verification, attr)))
     results = verification.check_bijections(MAX_EDGES, CELLS)
     assert [r.name for r in results] == NAMES
@@ -115,10 +134,8 @@ def test_each_check_fails_under_its_fault(monkeypatch, attr, fault, failing):
 
 
 def test_plane_tree_count_is_counted(monkeypatch):
-    # The check counts the trees it is given, so a listed-twice tree shows.
-    monkeypatch.setattr(
-        verification, "enumerate_plane_trees", _first_tree_twice(verification.enumerate_plane_trees)
-    )
+    # The check counts the words it is given, so a listed-twice tree shows.
+    monkeypatch.setattr(verification, "_plane_words", _first_tree_twice(verification._plane_words))
     result = verification.check_plane_counts(3)
     assert not result.passed
     assert result.detail == "n=1: enumerated 2 trees, expected 1"
@@ -211,3 +228,37 @@ def test_malformed_guard_still_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "TREEDEGREE_GUARD must be an integer, got 'lots'" in err
+
+
+def test_marked_pairs_build_no_tree_objects(monkeypatch):
+    # The bijection passes compare words and marks: no marked tree and no
+    # subset pair is built for any marked pair.
+    built = Counter()
+
+    def counting_new(cls):
+        honest = cls.__new__
+
+        def new(owner, *args, **kwargs):
+            built[cls.__name__] += 1
+            return honest(owner, *args, **kwargs)
+
+        return staticmethod(new)
+
+    for cls in (MarkedPlaneTree, MarkedKaryTree):
+        monkeypatch.setattr(cls, "__new__", counting_new(cls))
+    honest_init = SubsetPair.__init__
+
+    def init(self, *args, **kwargs):
+        built["SubsetPair"] += 1
+        honest_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsetPair, "__init__", init)
+    # The counters see what the public codecs build.
+    bar_delta_decode((0,), 1)
+    composition_to_kary_pair((1, 0))
+    phi((1, 0))
+    assert built == {"MarkedPlaneTree": 1, "MarkedKaryTree": 1, "SubsetPair": 1}
+    built.clear()
+    results = verification.check_bijections(5, [(2, 3), (3, 2)])
+    assert all(r.passed for r in results)
+    assert built == {}
