@@ -358,7 +358,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run(args)
+    # Counts are exact, so they print in full: lift Python's cap on decimal
+    # conversion (4,300 digits since 3.11 and 3.10.7) for this call only.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_cap(0)
+    try:
+        return run(args)
+    finally:
+        set_cap(cap)
 
 
 if __name__ == "__main__":

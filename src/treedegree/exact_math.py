@@ -25,8 +25,11 @@ __all__ = [
     "count_plane_outdegree",
     "count_kary_outdegree",
     "count_plane_degree",
+    "catalan_power_coeff",
+    "kary_power_coeff",
     "fine_number",
     "count_odd_outdegree",
+    "outdegree_type_sum",
     "verify_outdegree_sequence_identity",
 ]
 
@@ -107,6 +110,28 @@ def count_plane_degree(n: int, i: int) -> int:
     return 2 * binomial(2 * n - i - 1, n - 1)
 
 
+def catalan_power_coeff(n: int, l: int) -> int:
+    """[z^n] C(z)^l = l/(2n+l) * C(2n+l, n), for n >= 0 and l >= 1."""
+    if l < 1:
+        raise ValueError("power must be at least 1")
+    if n < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    return exact_div(l * binomial(2 * n + l, n), 2 * n + l, "catalan power coefficient")
+
+
+def kary_power_coeff(k: int, n: int, l: int) -> int:
+    """[z^n] B_k(z)^l = l/(n+l) * C(k(n+l), n), for n >= 0 and k, l >= 1.
+
+    This is the corrected law: the naive l/n * C(kn, n) is wrong already
+    at k=2, n=2, l=1.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("arity and power must be at least 1")
+    if n < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    return exact_div(l * binomial(k * (n + l), n), n + l, "k-ary power coefficient")
+
+
 def fine_number(n: int) -> int:
     """Fine number F_n, normalized so that F_0 = 1, F_1 = 0, F_2 = 1, F_3 = 2.
 
@@ -116,8 +141,8 @@ def fine_number(n: int) -> int:
     both divisions go through :func:`exact_div`. O(n) operations. This
     indexing is shifted relative to some references, which start the
     sequence 1, 1, 0, 2, 6, ...: here F_{n-1} pairs with plane trees that
-    have n edges (see :func:`count_odd_outdegree`, which checks it against
-    the odd-outdegree row sum).
+    have n edges, through 3 * count_odd_outdegree(n) = 2*C(2n-1, n) + F_{n-1},
+    which ``verify fine`` checks.
     """
     if n < 0:
         raise ValueError("fine number index must be nonnegative")
@@ -135,10 +160,8 @@ def count_odd_outdegree(n: int) -> int:
 
     Computed as the odd column of :func:`count_plane_outdegree` from i = 1,
     each step i -> i + 2 an exact ratio (n-i)(n-i-1) / ((2n-i-1)(2n-i-2))
-    done by :func:`exact_div`, then cross-checked against
-    (2*C(2n-1, n) + F_{n-1}) / 3, which must agree exactly (the numerator
-    is always divisible by 3). A failure of either check means the
-    formulas disagree and raises AssertionError.
+    done by :func:`exact_div`. The Fine relation
+    3 * odd(n) = 2*C(2n-1, n) + F_{n-1} is checked by ``verify fine``.
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
@@ -150,13 +173,6 @@ def count_odd_outdegree(n: int) -> int:
             "odd-column ratio step",
         )
         total += term
-    cross = exact_div(
-        2 * binomial(2 * n - 1, n) + fine_number(n - 1), 3, "odd-outdegree cross-check"
-    )
-    if total != cross:
-        raise AssertionError(
-            f"odd-outdegree mismatch at n={n}: row sum {total} != {cross}"
-        )
     return total
 
 
@@ -183,26 +199,30 @@ def _outdegree_type_vectors(n: int) -> Iterator[tuple[int, ...]]:
         used += 1
 
 
-def verify_outdegree_sequence_identity(n: int, i: int) -> tuple[int, int]:
-    """Check the outdegree-type identity for cell (n, i) and return both sides.
-
-    The left side sums r_i * multinomial(n+1; r_0, ..., r_n) / (n+1) over
-    all outdegree type vectors of n-edge plane trees (each division is
-    exact and asserted); the right side is C(2n - i - 1, n - 1). The two
-    must agree; a mismatch raises AssertionError.
+def outdegree_type_sum(n: int, i: int) -> int:
+    """Sum of r_i * multinomial(n+1; r_0, ..., r_n) / (n+1), each division
+    exact and asserted, over all outdegree type vectors of n-edge plane
+    trees: the left side of the outdegree-type identity (``verify identity1``).
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
     check_guard("outdegree-type enumeration", n, SEQUENCE_LIMIT)
-    lhs = 0
+    total = 0
     for vec in _outdegree_type_vectors(n):
         r_i = vec[i] if i <= n else 0
         if r_i:
-            lhs += exact_div(
+            total += exact_div(
                 r_i * multinomial(n + 1, vec), n + 1, "outdegree-type term"
             )
+    return total
+
+
+def verify_outdegree_sequence_identity(n: int, i: int) -> tuple[int, int]:
+    """Both sides of the outdegree-type identity for cell (n, i); a mismatch
+    raises AssertionError."""
+    lhs = outdegree_type_sum(n, i)
     rhs = count_plane_outdegree(n, i)
     if lhs != rhs:
         raise AssertionError(

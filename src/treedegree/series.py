@@ -21,16 +21,12 @@ closed form as quotients:
     z^i C^i / (1 - z*C^2)                                  (plane, outdegree i)
     C(k,i) * (z*B_k)^i * (1 + z*B_k) / (1 - (k-1)*z*B_k)   (k-ary, outdegree i)
 
-Each is a power, an integer-only inverse and products: O(N^2). Their
-coefficients are asserted against the closed-form counts, which makes
-each construction a machine check of the corresponding identity.
-Power-coefficient laws used along the way:
-
-    [z^n] C^l   = l/(2n+l) * C(2n+l, n)
-    [z^n] B_k^l = l/(n+l)  * C(k(n+l), n)
-
-The second is the corrected form; the naive variant l/n * C(kn, n) is
-wrong already at k=2, n=2, l=1 (see the tests).
+Each is a power, an integer-only inverse and products: O(N^2). The
+series functions only compute. ``verify lagrange`` compares the derivative
+series with the closed-form counts, and the powers of C and B_k with the
+power-coefficient laws ``exact_math.catalan_power_coeff`` and
+``exact_math.kary_power_coeff``; ``verify_catalan_power_coeff`` and
+``verify_kary_power_coeff`` compare one coefficient each.
 """
 
 from __future__ import annotations
@@ -38,12 +34,7 @@ from __future__ import annotations
 from operator import index, mul
 from typing import Iterable, Sequence
 
-from .exact_math import (
-    binomial,
-    count_kary_outdegree,
-    count_plane_outdegree,
-    exact_div,
-)
+from .exact_math import binomial, catalan_power_coeff, exact_div, kary_power_coeff
 
 __all__ = [
     "TruncatedSeries",
@@ -218,19 +209,10 @@ def kary_series(k: int, order: int) -> TruncatedSeries:
 
 
 def verify_catalan_power_coeff(n: int, l: int) -> tuple[int, int]:
-    """Compare [z^n] C(z)^l with l/(2n+l) * C(2n+l, n); both returned.
-
-    The two routes are independent: series convolution versus a single
-    exact binomial evaluation. Disagreement raises AssertionError.
-    """
-    if l < 1:
-        raise ValueError("power must be at least 1")
-    if n < 0:
-        raise ValueError("coefficient index must be nonnegative")
+    """[z^n] C(z)^l from the series and from ``exact_math.catalan_power_coeff``,
+    both returned; disagreement raises AssertionError."""
+    closed_form = catalan_power_coeff(n, l)
     series_value = (catalan_series(n) ** l)[n]
-    closed_form = exact_div(
-        l * binomial(2 * n + l, n), 2 * n + l, "catalan power coefficient"
-    )
     if series_value != closed_form:
         raise AssertionError(
             f"[z^{n}] C^{l}: series {series_value} != closed form {closed_form}"
@@ -239,19 +221,10 @@ def verify_catalan_power_coeff(n: int, l: int) -> tuple[int, int]:
 
 
 def verify_kary_power_coeff(k: int, n: int, l: int) -> tuple[int, int]:
-    """Compare [z^n] B_k(z)^l with l/(n+l) * C(k(n+l), n); both returned.
-
-    This is the corrected power-coefficient law (the naive l/n * C(kn, n)
-    fails already at k=2, n=2, l=1). Disagreement raises AssertionError.
-    """
-    if k < 1 or l < 1:
-        raise ValueError("arity and power must be at least 1")
-    if n < 0:
-        raise ValueError("coefficient index must be nonnegative")
+    """[z^n] B_k(z)^l from the series and from ``exact_math.kary_power_coeff``,
+    both returned; disagreement raises AssertionError."""
+    closed_form = kary_power_coeff(k, n, l)
     series_value = (kary_series(k, n) ** l)[n]
-    closed_form = exact_div(
-        l * binomial(k * (n + l), n), n + l, "k-ary power coefficient"
-    )
     if series_value != closed_form:
         raise AssertionError(
             f"[z^{n}] B_{k}^{l}: series {series_value} != closed form {closed_form}"
@@ -263,8 +236,8 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     """Series whose coefficient n counts outdegree-i vertices over n-edge
     plane trees, built as z^i C^i / (1 - z*C^2) = sum_m z^(m+i) C^(2m+i).
 
-    The denominator is 2 - C, by C = 1 + z*C^2. Every coefficient 1..order
-    is asserted equal to the closed form C(2n - i - 1, n - 1) before returning.
+    The denominator is 2 - C, by C = 1 + z*C^2. Coefficient n >= 1 equals
+    C(2n - i - 1, n - 1) by Theorem 1; ``verify lagrange`` compares them.
     """
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
@@ -277,13 +250,6 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
         power = (TruncatedSeries(c) ** i).coefficients
         inverse = _inverse([1, *(-x for x in c[1:])], top)
         acc[i:] = _product(power, inverse, top)
-    for n in range(1, order + 1):
-        expected = count_plane_outdegree(n, i)
-        if acc[n] != expected:
-            raise AssertionError(
-                f"plane derivative series at i={i}: coefficient {n} is "
-                f"{acc[n]}, closed form {expected}"
-            )
     return TruncatedSeries(acc)
 
 
@@ -292,8 +258,8 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
     k-ary trees, built as C(k,i) (z*B_k)^i (1 + z*B_k) / (1 - (k-1)*z*B_k),
     which is C(k,i) sum_r (k-1)^r (z^(i+r) B_k^(i+r) + z^(i+r+1) B_k^(i+r+1)).
 
-    Every coefficient 1..order is asserted equal to the closed form
-    C(k, i) * C(kn, n - i) before returning.
+    Coefficient n >= 1 equals C(k, i) * C(kn, n - i) by Theorem 2;
+    ``verify lagrange`` compares them.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
@@ -309,11 +275,4 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
         numerator = _product(power, [1, *b[:top]], top)
         inverse = _inverse([1, *(-(k - 1) * x for x in b[:top])], top)
         acc[i:] = (binomial(k, i) * x for x in _product(numerator, inverse, top))
-    for n in range(1, order + 1):
-        expected = count_kary_outdegree(n, k, i)
-        if acc[n] != expected:
-            raise AssertionError(
-                f"k-ary derivative series at k={k}, i={i}: coefficient {n} is "
-                f"{acc[n]}, closed form {expected}"
-            )
     return TruncatedSeries(acc)

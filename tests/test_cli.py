@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -54,6 +55,35 @@ class TestCount:
         from treedegree import binomial
 
         assert int(doc["count"]) == binomial(79, 39)
+
+    @pytest.mark.parametrize(
+        "argv, digits, digest",
+        [
+            (
+                ["plane", "-n", "7300", "-i", "1"],
+                4393,
+                "b5a585e5733c1a77fdaebffb690004da459cdadb4e403aa640a80208d60b9b3b",
+            ),
+            (
+                ["kary", "-k", "3", "-n", "6000", "-i", "1"],
+                4974,
+                "538d810bb736cc4e0c3c89f66620c8cc4703413e05497d242ed6341a7818d056",
+            ),
+        ],
+    )
+    def test_counts_past_the_decimal_digit_cap(self, capsys, argv, digits, digest):
+        # Python 3.11 (and 3.10.7) refuse str() of ints over 4,300 digits
+        # by default; the CLI prints the exact count in full and then puts
+        # the caller's cap back. The digest is of the count's digits plus a
+        # newline, so it pins the text output and the JSON count alike.
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, text, err = run_cli(capsys, "count", *argv)
+        assert (code, err, len(text)) == (0, "", digits + 1)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        code, out, err = run_cli(capsys, "count", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] + "\n" == text
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_validation_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "plane", "-n", "0", "-i", "0")

@@ -232,17 +232,6 @@ class TestOddOutdegree:
             )
             assert count_odd_outdegree(n) == expected
 
-    def test_wrong_column_start_fails_the_fine_cross_check(self, monkeypatch):
-        # The ratio steps start from count_plane_outdegree(n, 1), so a fault
-        # there must reach the cross-check against the Fine numbers.
-        real = exact_math.count_plane_outdegree
-        monkeypatch.setattr(
-            exact_math, "count_plane_outdegree", lambda n, i: real(n, i) + (n == 2)
-        )
-        assert count_odd_outdegree(3) == 7
-        with pytest.raises(AssertionError, match="odd-outdegree mismatch at n=2"):
-            count_odd_outdegree(2)
-
 
 class TestOutdegreeSequenceIdentity:
     def test_worked_cells(self):
@@ -255,6 +244,14 @@ class TestOutdegreeSequenceIdentity:
     def test_holds_on_small_grid(self, n, i):
         lhs, rhs = verify_outdegree_sequence_identity(n, i)
         assert lhs == rhs
+
+    def test_wrapper_raises_on_a_wrong_sum(self, monkeypatch):
+        real = exact_math.outdegree_type_sum
+        assert real(3, 1) == 6
+        monkeypatch.setattr(exact_math, "outdegree_type_sum", lambda n, i: real(n, i) + 1)
+        message = "^outdegree-type identity fails at n=3, i=1: 7 != 6$"
+        with pytest.raises(AssertionError, match=message):
+            verify_outdegree_sequence_identity(3, 1)
 
     def test_guard(self, monkeypatch):
         with pytest.raises(ValueError, match="guard"):

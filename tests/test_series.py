@@ -15,6 +15,7 @@ from treedegree import (
     plane_derivative_series,
     verify_catalan_power_coeff,
     verify_kary_power_coeff,
+    series,
     verification,
 )
 from treedegree.cli import main
@@ -226,6 +227,16 @@ class TestPowerCoefficientLaws:
                             power * binomial(k * n, n - r - i), n, "shifted law"
                         )
                         assert lhs == rhs
+
+    def test_wrappers_raise_on_a_wrong_law(self, monkeypatch):
+        # The wrappers compare the series with the one closed form in
+        # exact_math, which they look up at call time.
+        monkeypatch.setattr(series, "catalan_power_coeff", lambda n, l: 3)
+        monkeypatch.setattr(series, "kary_power_coeff", lambda k, n, l: 4)
+        with pytest.raises(AssertionError, match=r"^\[z\^2\] C\^1: series 2 != closed form 3$"):
+            verify_catalan_power_coeff(2, 1)
+        with pytest.raises(AssertionError, match=r"^\[z\^2\] B_2\^1: series 5 != closed form 4$"):
+            verify_kary_power_coeff(2, 2, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

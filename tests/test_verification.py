@@ -1,6 +1,7 @@
 """The verification runner and the bijection checks: one enumeration pass
 per family and size feeds all six bijection checks, each still fails under
-a fault in what it checks, and a failure inside a sweep is a FAIL line."""
+a fault in what it checks, and a failure inside a sweep is a FAIL line.
+A fault table shows that each of the 18 ``verify all`` lines can FAIL."""
 
 from collections import Counter
 
@@ -10,10 +11,13 @@ from treedegree import (
     MarkedKaryTree,
     MarkedPlaneTree,
     SubsetPair,
+    TruncatedSeries,
     bar_delta_decode,
     composition_to_kary_pair,
+    exact_math,
     kary_leaf,
     phi,
+    series,
     verification,
 )
 from treedegree.cli import main
@@ -262,3 +266,146 @@ def test_marked_pairs_build_no_tree_objects(monkeypatch):
     results = verification.check_bijections(5, [(2, 3), (3, 2)])
     assert all(r.passed for r in results)
     assert built == {}
+
+
+PLANE_COUNTS = "plane outdegree counts vs exhaustive enumeration"
+PLANE_SUMS = "plane row and edge sums"
+KARY_COUNTS = "k-ary outdegree counts vs exhaustive enumeration"
+KARY_SUMS = "k-ary row and edge sums"
+IDENTITY = "outdegree-type identity vs closed form"
+FINE = "odd-outdegree counts vs fine-number relation and enumeration"
+RESIDUALS = "defining-equation residuals"
+CATALAN_POWERS = "catalan power-coefficient law"
+KARY_POWERS = "k-ary power-coefficient law (corrected)"
+NAIVE = "naive k-ary power law rejected"
+PLANE_DERIVATIVE = "plane vertex-marking derivative series vs closed form"
+KARY_DERIVATIVE = "k-ary vertex-marking derivative series vs closed form"
+ALL_NAMES = [
+    PLANE_COUNTS, PLANE_SUMS, KARY_COUNTS, KARY_SUMS, IDENTITY, FINE,
+    RESIDUALS, CATALAN_POWERS, KARY_POWERS, NAIVE, PLANE_DERIVATIVE, KARY_DERIVATIVE,
+    *NAMES,
+]
+ALL_BOUNDS = (5, 3)
+
+
+def _off_at(cell):
+    # One more than the honest value when the arguments equal ``cell``.
+    def fault(honest):
+        return lambda *args: honest(*args) + (args == cell)
+
+    fault.__name__ = "off_at_" + "_".join(map(str, cell))
+    return fault
+
+
+def _set_at(cell, value):
+    def fault(honest):
+        return lambda *args: value if args == cell else honest(*args)
+
+    fault.__name__ = "_".join(["set", *map(str, cell), "to", str(value)])
+    return fault
+
+
+def _first_kary_tree_twice(honest):
+    def enumerate_trees(k, n):
+        trees = list(honest(k, n))
+        return [trees[0], *trees]
+
+    return enumerate_trees
+
+
+def _drop_last_vector(honest):
+    return lambda n: list(honest(n))[:-1]
+
+
+def _shift_one_more(honest):
+    return lambda self, m: honest(self, m + 1)
+
+
+def _off_third_term(honest):
+    # Term 3 of the returned coefficient list is one too large.
+    def wrong(*args):
+        terms = list(honest(*args))
+        if len(terms) > 3:
+            terms[3] += 1
+        return terms
+
+    return wrong
+
+
+def _off_third_coefficient(honest):
+    off = _off_third_term(lambda *args: honest(*args).coefficients)
+    return lambda *args: TruncatedSeries(off(*args))
+
+
+# One fault per seam, run through every ``verify all`` line at ALL_BOUNDS,
+# with the exact set of lines it fails; together they fail every line.
+ALL_FAULTS = [
+    (verification, "_plane_words", _first_tree_twice, {PLANE_COUNTS, FINE, COVER}),
+    (verification, "catalan", _off_at((3,)), {PLANE_COUNTS, PLANE_SUMS}),
+    (verification, "enumerate_kary_trees", _first_kary_tree_twice, {KARY_COUNTS}),
+    (
+        verification,
+        "count_kary_outdegree",
+        _off_at((2, 2, 1)),
+        {KARY_COUNTS, KARY_SUMS, KARY_DERIVATIVE},
+    ),
+    (exact_math, "_outdegree_type_vectors", _drop_last_vector, {IDENTITY}),
+    (exact_math, "count_plane_outdegree", _off_at((2, 1)), {FINE}),
+    (exact_math, "fine_number", _off_at((3,)), {FINE}),
+    (TruncatedSeries, "shift", _shift_one_more, {RESIDUALS}),
+    (exact_math, "catalan_power_coeff", _off_at((3, 2)), {CATALAN_POWERS}),
+    (exact_math, "kary_power_coeff", _off_at((2, 2, 1)), {KARY_POWERS}),
+    # C(4, 2) = 10 makes the naive law 10/2 match [z^2] B_2 = 5.
+    (verification, "binomial", _set_at((4, 2), 10), {PLANE_SUMS, NAIVE, CARDINALITY}),
+    (series, "catalan_series", _off_third_coefficient, {PLANE_DERIVATIVE}),
+    (series, "kary_series", _off_third_coefficient, {KARY_DERIVATIVE}),
+    (series, "_inverse", _off_third_term, {PLANE_DERIVATIVE, KARY_DERIVATIVE}),
+    (verification, "delta_decode", _path_for_large, {WORD_TRIP}),
+    (verification, "_bar_delta_decode", _shift_mark, {MARKED_TRIP}),
+    (verification, "uncomplete", _leaf_for_all, {COMPLETION}),
+    (verification, "_phi", _mirror_y, {SUBSETS}),
+    (verification, "binomial", _off_subset_count, {CARDINALITY}),
+]
+ALL_FAULT_IDS = [
+    f"{getattr(owner, '__name__', '').rsplit('.', 1)[-1]}.{attr}-{fault.__name__}"
+    for owner, attr, fault, _ in ALL_FAULTS
+]
+
+
+def test_the_fault_table_fails_every_line():
+    assert [r.name for r in verification.run_checks("all", *ALL_BOUNDS)] == ALL_NAMES
+    assert set().union(*(failing for *_, failing in ALL_FAULTS)) == set(ALL_NAMES)
+
+
+@pytest.mark.parametrize("owner, attr, fault, failing", ALL_FAULTS, ids=ALL_FAULT_IDS)
+def test_each_verify_line_fails_under_its_fault(monkeypatch, owner, attr, fault, failing):
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    results = verification.run_checks("all", *ALL_BOUNDS)
+    assert [r.name for r in results] == ALL_NAMES
+    assert {r.name for r in results if not r.passed} == failing
+    assert all(r.detail for r in results if not r.passed)
+
+
+def test_a_wrong_inverse_term_names_its_cell(monkeypatch):
+    monkeypatch.setattr(series, "_inverse", _off_third_term(series._inverse))
+    plane, kary = verification.run_checks("lagrange", 1, 2)[4:]
+    assert plane.line() == (
+        f"FAIL {PLANE_DERIVATIVE} [i=0..10, coefficients 1..12]: "
+        "i=0 n=3: series 11 != formula 10"
+    )
+    assert kary.line() == (
+        f"FAIL {KARY_DERIVATIVE} [k=1..2, i=0..k, coefficients 1..12]: "
+        "k=1 i=0 n=3: series 2 != formula 1"
+    )
+
+
+def test_fine_catches_a_wrong_odd_column_start(monkeypatch):
+    # count_odd_outdegree starts its ratio steps from count_plane_outdegree(n, 1),
+    # and returns what they give; the fine line compares it with the Fine
+    # relation and with enumeration.
+    real = exact_math.count_plane_outdegree
+    monkeypatch.setattr(exact_math, "count_plane_outdegree", lambda n, i: real(n, i) + (n == 2))
+    assert exact_math.count_odd_outdegree(2) == 3 and exact_math.count_odd_outdegree(3) == 7
+    [result] = verification.run_checks("fine", 4, 1)
+    assert not result.passed
+    assert result.detail == "n=2: 3*3 != 2*C(2n-1,n) + F(n-1) = 6"
