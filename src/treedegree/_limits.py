@@ -13,11 +13,12 @@ import os
 
 GUARD_ENV = "TREEDEGREE_GUARD"
 
-# Default ceilings: plane trees by edge count, k-ary trees by k*n,
-# outdegree-type vectors by edge count.
-PLANE_EDGE_LIMIT = 14
-KARY_EDGE_LIMIT = 24
-SEQUENCE_LIMIT = 30
+# Each guard: what it refuses, as its message names it, and its default
+# ceiling. Plane trees by edge count, k-ary trees by k*n, outdegree-type
+# vectors by edge count.
+PLANE_GUARD = ("plane-tree enumeration", 14)
+KARY_GUARD = ("k-ary tree enumeration", 24)
+SEQUENCE_GUARD = ("outdegree-type enumeration", 30)
 
 
 class GuardError(ValueError):
@@ -37,7 +38,8 @@ def guard_limit(default: int) -> int:
     return value
 
 
-def check_guard(label: str, cost: int, default: int) -> None:
+def check_guard(guard: tuple[str, int], cost: int) -> None:
+    label, default = guard
     limit = guard_limit(default)
     if cost > limit:
         raise GuardError(

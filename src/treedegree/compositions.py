@@ -7,14 +7,15 @@ composition keeps f >= 0 on every proper prefix and ends at exactly -1
 *positive* composition keeps f >= 0 on every prefix, the whole word
 included. Every composition factors uniquely as a run of unit blocks
 followed by a positive tail; :func:`fundamental_decomposition` computes
-that factorization greedily.
+that factorization greedily. Two private walks of the running f give the
+codecs where the tail starts and where a block ends, without building it.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 from operator import index
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Composition = tuple[int, ...]
 
@@ -94,6 +95,29 @@ def fundamental_decomposition(c: Composition) -> FundamentalDecomposition:
             start = pos + 1
             f = 0
     return FundamentalDecomposition(tuple(units), tuple(c[start:]))
+
+
+def _tail_start(word: Sequence[int]) -> int:
+    # Where the positive tail of the fundamental decomposition starts: just
+    # after the running f first reaches its minimum (each unit block ends
+    # at a new record low, and the tail never goes below the last one).
+    f = low = start = 0
+    for pos, part in enumerate(word, 1):
+        f += part - 1
+        if f < low:
+            low, start = f, pos
+    return start
+
+
+def _block_end(word: Sequence[int], start: int, height: int = 0) -> int:
+    # The end of the shortest run word[start:end] whose f-statistic, added
+    # to ``height`` >= 0, reaches -1: the unit block from ``start`` when
+    # height is 0.
+    end = start
+    while height >= 0:
+        height += word[end] - 1
+        end += 1
+    return end
 
 
 def format_composition(c: Composition) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from ._limits import SEQUENCE_LIMIT, check_guard
+from ._limits import SEQUENCE_GUARD, check_guard
 
 __all__ = [
     "exact_div",
@@ -150,8 +150,6 @@ def fine_number(n: int) -> int:
     for m in range(1, n + 1):
         catalan_m = exact_div(2 * (2 * m - 1) * catalan_m, m + 1, "catalan step")
         value = exact_div(catalan_m - value, 2, "fine recurrence")
-    if value < 0:
-        raise AssertionError(f"fine number F_{n} came out negative: {value}")
     return value
 
 
@@ -208,7 +206,7 @@ def outdegree_type_sum(n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
-    check_guard("outdegree-type enumeration", n, SEQUENCE_LIMIT)
+    check_guard(SEQUENCE_GUARD, n)
     total = 0
     for vec in _outdegree_type_vectors(n):
         r_i = vec[i] if i <= n else 0

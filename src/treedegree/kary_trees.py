@@ -23,14 +23,15 @@ a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
-core on the word's validated structure or a built word. The cores take and
-return plain words and ints: a tree's completion word and its mark, and
+core. The cores take and return plain words and ints: a tree's completion
+word and its mark, the *leaders* (the starts of the word's first k unit
+blocks, found by the block walk of :mod:`treedegree.compositions`), and
 (X, Y) as ascending tuples. The public functions build the
 :class:`MarkedKaryTree` or :class:`SubsetPair` from them, and the
 verification sweeps call the cores and compare words. The cores keep two
 self-checks, which tie a word to a tree: a decoded word must be a unit
-composition, and an encoded word's (k, n, i) must match the marked tree,
-whose i the encoder counts off the marked vertex's own slots.
+composition, and an encoded word's i must match the marked tree, whose i
+the encoder counts off the marked vertex's own slots.
 """
 
 from __future__ import annotations
@@ -38,16 +39,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, combinations, compress, count, islice, product
-from operator import indexOf
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, combinations, compress, count, product
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ._limits import KARY_EDGE_LIMIT, check_guard
-from .compositions import (
-    Composition,
-    enumerate_compositions,
-    fundamental_decomposition,
-)
+from ._limits import KARY_GUARD, check_guard
+from .compositions import Composition, _block_end, enumerate_compositions
 from .plane_trees import (
     PlaneTree,
     _bar_delta_decode,
@@ -194,12 +190,8 @@ def kary_word_parameters(
     return _kary_word_structure(tuple(word), arity)[:3]
 
 
-# A validated word's (k, n, i) and fundamental decomposition: the codec cores' input.
-_WordStructure = tuple[int, int, int, tuple[Composition, ...], Composition]
-
-
-def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure:
-    # The checks of kary_word_parameters.
+def _kary_word_structure(word: Composition, arity: int | None) -> tuple[int, int, int, list[int]]:
+    # The checks of kary_word_parameters; (k, n, i) and the leaders.
     if not word:
         raise ValueError("entry shape: word is empty")
     if min(word) < 0:
@@ -228,8 +220,16 @@ def _kary_word_structure(word: Composition, arity: int | None) -> _WordStructure
             f"entry shape: expected {n} copies of {k} in a word of length {len(word)}, "
             f"found {k_count}"
         )
-    units, tail = fundamental_decomposition(word)
-    return k, n, sum(1 for unit in units[:k] if unit[0] == k), units, tail
+    return (k, n, *_block_leaders(word, 0, k))
+
+
+def _block_leaders(word: Composition, start: int, blocks: int) -> tuple[int, list[int]]:
+    # The starts of ``blocks`` >= 1 consecutive unit blocks from ``start``,
+    # and how many of those blocks begin with k.
+    starts = [start]
+    for _ in range(blocks - 1):
+        starts.append(_block_end(word, starts[-1]))
+    return sum(1 for lead in starts if word[lead]), starts
 
 
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
@@ -238,13 +238,13 @@ def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
     Checks the mark and counts the marked vertex's filled slots on the
     tree's word, not the encoded one. The core then takes the completion's
     cyclic outdegree word at the mark's image (internal, with outdegree k)
-    and self-checks its (k, n, i) against the tree.
+    and self-checks its i against the tree.
     """
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
         raise ValueError(f"mark {m.mark} out of range 1..{t.vertex_count}")
-    # The mark's completion index: where the count of nonzero entries reaches it.
-    position = indexOf(accumulate(map(bool, t.word)), m.mark) + 1
+    # The mark's completion index: the position of the mark-th nonzero entry.
+    position = [pos for pos, part in enumerate(t.word, 1) if part][m.mark - 1]
     i = _filled_slots(t.word, position)
     return _kary_pair_to_composition(t.arity, t.edge_count, t.word, position, i)[0]
 
@@ -253,34 +253,24 @@ def _filled_slots(word: Composition, position: int) -> int:
     # Filled slots of the vertex at 1-based ``position`` of a completion
     # word: its slots are the next unit blocks, one per slot, and a filled
     # slot's block starts with k.
-    filled, start = 0, position
-    for _ in range(word[position - 1]):
-        filled += word[start] != 0
-        start = _block_end(word, start)
-    return filled
-
-
-def _block_end(word: Sequence[int], start: int, height: int = 0) -> int:
-    # The end of the shortest run word[start:end] whose f-statistic, added
-    # to ``height``, reaches -1: the unit block from ``start`` when height
-    # is 0. The scan runs in C.
-    steps = accumulate(map((-1).__add__, islice(word, start, None)), initial=height)
-    return start + indexOf(steps, -1)
+    return _block_leaders(word, position, word[position - 1])[0]
 
 
 def _kary_pair_to_composition(
     k: int, n: int, tree_word: Composition, position: int, i: int
-) -> tuple[Composition, _WordStructure]:
+) -> tuple[Composition, list[int]]:
     # The completion word ``tree_word`` of a k-ary tree with n edges, marked
-    # at index ``position`` (i filled slots), and the structure of that word.
+    # at index ``position`` (i filled slots): the encoded word and its
+    # leaders. The rotation of a tree word has the shape, with the tree's k
+    # and n, so only i is checked.
     word = _bar_delta_encode(tree_word, position)
-    structure = _kary_word_structure(word, k)
-    if structure[:3] != (k, n, i):
+    found, leaders = _block_leaders(word, 0, k)
+    if found != i:
         raise AssertionError(
-            f"encoded word parameters {structure[:3]} disagree with the marked tree "
+            f"encoded word parameters {(k, n, found)} disagree with the marked tree "
             f"{(k, n, i)}"
         )
-    return word, structure
+    return word, leaders
 
 
 def composition_to_kary_pair(
@@ -297,23 +287,23 @@ def composition_to_kary_pair(
     completion) and strips the completion leaves, transporting the mark
     through the preorder index map.
     """
-    structure = _kary_word_structure(tuple(word), k)
+    word = tuple(word)
+    structure = _kary_word_structure(word, k)
     if n is not None and n != structure[1]:
         raise ValueError(f"word encodes n={structure[1]}, expected {n}")
     if i is not None and i != structure[2]:
         raise ValueError(f"word encodes outdegree i={structure[2]}, expected {i}")
-    word, mark = _composition_to_kary_pair(structure)
+    word, mark = _composition_to_kary_pair(word, structure[0])
     return MarkedKaryTree(_kary_tree(structure[0], word), mark)
 
 
-def _composition_to_kary_pair(structure: _WordStructure) -> tuple[Composition, int]:
-    # The decoded tree's word and mark. The rebuilt unit word is the
-    # validated 0/k word, rotated, with k inserted at the mark: it is the
-    # completion of the tree with that word, and the mark is the count of
-    # internal vertices up to the position.
-    k, _, _, units, tail = structure
-    word, position = _bar_delta_decode(units, tail, k)
-    return word, position - word[:position].count(0)
+def _composition_to_kary_pair(word: Composition, k: int) -> tuple[Composition, int]:
+    # The decoded tree's word and mark: the plane decode at outdegree k,
+    # whose rebuilt unit word is the validated 0/k word, rotated, with k
+    # inserted at the mark. It is the completion of the tree with that
+    # word, and the mark is the count of internal vertices up to the position.
+    tree_word, position = _bar_delta_decode(word, k)
+    return tree_word, position - tree_word[:position].count(0)
 
 
 def phi(
@@ -326,22 +316,19 @@ def phi(
     word beta of length kn; Y collects the 1-based positions of the k
     entries remaining in beta. Validates the word, then runs the core.
     """
-    structure = _kary_word_structure(tuple(word), arity)
+    word = tuple(word)
+    structure = _kary_word_structure(word, arity)
     if edges is not None and edges != structure[1]:
         raise ValueError(f"word encodes n={structure[1]}, expected {edges}")
-    x, y = _phi(structure)
+    x, y = _phi(word, structure[3])
     return SubsetPair(structure[0], structure[1], frozenset(x), frozenset(y))
 
 
-def _phi(structure: _WordStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (X, Y) as ascending tuples.
-    k, _, _, units, tail = structure
-    x = tuple(j + 1 for j in range(k) if units[j][0] == k)
-    beta = chain(
-        chain.from_iterable(unit[1:] for unit in units[:k]),
-        chain.from_iterable(units[k:]),
-        tail,
-    )
+def _phi(word: Composition, leaders: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (X, Y) as ascending tuples; beta is the word without its leaders.
+    x = tuple(j for j, start in enumerate(leaders, 1) if word[start])
+    ends = (*leaders[1:], len(word))
+    beta = chain.from_iterable(word[start + 1 : end] for start, end in zip(leaders, ends))
     return x, tuple(compress(count(1), beta))
 
 
@@ -401,7 +388,7 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
         raise ValueError("arity must be at least 1")
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    check_guard("k-ary tree enumeration", k * n, KARY_EDGE_LIMIT)
+    check_guard(KARY_GUARD, k * n)
     # words[b] lists the words of all trees with b edges, in order; a
     # tree's subtrees have fewer edges, so their lists are already there.
     words: list[list[Composition]] = [[(k,) + (0,) * k]]

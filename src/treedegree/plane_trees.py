@@ -8,10 +8,11 @@ and every operation here is a flat scan of it (:func:`preorder_outdegrees`
 / :func:`delta_decode` only unwrap and wrap). Marking a vertex of
 outdegree i and deleting its entry from the cyclic outdegree word gives a
 bijection between marked trees and arbitrary n-part compositions of n - i
-(:func:`bar_delta_encode` / :func:`bar_delta_decode`); the inverse reads
-the fundamental decomposition of the word. Their private cores take and
-return words and marks, and the public functions wrap those in
-:class:`MarkedPlaneTree`.
+(:func:`bar_delta_encode` / :func:`bar_delta_decode`). By the cycle lemma
+the inverse is a rotation: the tree's word is the encoded word rotated to
+start at its positive tail, with i put back just before the unit blocks.
+Their private cores take and return plain words and marks, and the public
+functions wrap those in :class:`MarkedPlaneTree`.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
 brute-force oracle for the closed-form counts; it runs an odometer over
@@ -28,8 +29,8 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from ._limits import PLANE_EDGE_LIMIT, check_guard
-from .compositions import Composition, as_composition, fundamental_decomposition, is_unit
+from ._limits import PLANE_GUARD, check_guard
+from .compositions import Composition, _tail_start, as_composition, is_unit
 
 __all__ = [
     "PlaneTree",
@@ -176,7 +177,7 @@ def _plane_words(n: int) -> Iterator[Composition]:
     # The words of enumerate_plane_trees, guarded the same way.
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    check_guard("plane-tree enumeration", n, PLANE_EDGE_LIMIT)
+    check_guard(PLANE_GUARD, n)
     yield from _unit_words(n)
 
 
@@ -214,20 +215,19 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
         raise ValueError(
             f"word of length {n} with sum {sum(word)} does not match outdegree {i}"
         )
-    alpha, mark = _bar_delta_decode(*fundamental_decomposition(word), i)
+    alpha, mark = _bar_delta_decode(word, i)
     return MarkedPlaneTree(_plane_tree(alpha), mark)
 
 
-def _bar_delta_decode(
-    units: tuple[Composition, ...], tail: Composition, i: int
-) -> tuple[Composition, int]:
-    # bar_delta_decode past its length and sum checks, on the decomposed
-    # word: the tree's word and the mark. The sum check makes
-    # f(word) = -i, so f(tail) = len(units) - i.
-    alpha = (*tail, i, *chain.from_iterable(units))
+def _bar_delta_decode(word: Composition, i: int) -> tuple[Composition, int]:
+    # bar_delta_decode past its length and sum checks: the tree's word and
+    # the mark. The sum check makes f(word) = -i, so the word has s >= i
+    # unit blocks, and the positive tail from ``start`` has f = s - i.
+    start = _tail_start(word)
+    alpha = (*word[start:], i, *word[:start])
     if not is_unit(alpha):
         raise AssertionError(f"rebuilt word is not a unit composition: {alpha!r}")
-    return alpha, len(tail) + 1
+    return alpha, len(word) - start + 1
 
 
 def count_outdegree_bruteforce(n: int, i: int) -> int:

@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact_math
-from ._limits import GuardError
-from .compositions import Composition, fundamental_decomposition
+from ._limits import KARY_GUARD, PLANE_GUARD, SEQUENCE_GUARD, GuardError, check_guard
+from .compositions import Composition
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
     _composition_to_kary_pair,
@@ -143,8 +143,10 @@ def check_plane_sums(max_edges: int) -> CheckResult:
             row = sum(count_plane_outdegree(n, i) for i in range(n + 1))
             edge = sum(i * count_plane_outdegree(n, i) for i in range(n + 1))
             cat = catalan(n)
-            if row != binomial(2 * n, n) or row != (n + 1) * cat:
+            if row != binomial(2 * n, n):
                 yield f"n={n}: row sum {row} != C(2n,n)={binomial(2 * n, n)}"
+            if row != (n + 1) * cat:
+                yield f"n={n}: row sum {row} != (n+1)*c_n={(n + 1) * cat}"
             if edge != n * cat:
                 yield f"n={n}: edge sum {edge} != n*c_n={n * cat}"
 
@@ -176,8 +178,10 @@ def check_kary_sums(cells: Sequence[tuple[int, int]]) -> CheckResult:
             series = kary_series(k, n)
             row = sum(count_kary_outdegree(n, k, i) for i in range(k + 1))
             edge = sum(i * count_kary_outdegree(n, k, i) for i in range(k + 1))
-            if row != binomial(k * n + k, n) or row != (n + 1) * series[n]:
+            if row != binomial(k * n + k, n):
                 yield f"k={k} n={n}: row sum {row} != C(kn+k,n)={binomial(k * n + k, n)}"
+            if row != (n + 1) * series[n]:
+                yield f"k={k} n={n}: row sum {row} != (n+1)*b_k(n)={(n + 1) * series[n]}"
             if edge != n * series[n]:
                 yield f"k={k} n={n}: edge sum {edge} != n*b_k(n)={n * series[n]}"
 
@@ -231,8 +235,6 @@ def _check_residuals(order: int, max_arity: int) -> CheckResult:
         c = catalan_series(order)
         if c - (1 + (c * c).shift(1)) != zero:
             yield "C - 1 - z*C^2 does not vanish"
-        if (1 - c.shift(1)) * c != TruncatedSeries.constant(1, order):
-            yield "(1 - z*C) * C != 1"
         for k in range(1, max_arity + 1):
             b = kary_series(k, order)
             if b - (b.shift(1) + 1) ** k != zero:
@@ -356,7 +358,7 @@ def _plane_bijections(max_edges: int) -> Iterator[tuple[str, str]]:
                 try:
                     encoded = _bar_delta_encode(word, mark)
                     seen[i].append(encoded)
-                    decoded = _bar_delta_decode(*fundamental_decomposition(encoded), i)
+                    decoded = _bar_delta_decode(encoded, i)
                 except (AssertionError, ValueError) as exc:
                     yield MARKED_TRIP, str(exc)
                     continue
@@ -386,22 +388,15 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
         images: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         for tree in enumerate_kary_trees(k, n):
             completed, index_map = complete(tree)
-            completed_word = preorder_outdegrees(completed)
             if uncomplete(completed, k) != tree:
                 yield COMPLETION, f"k={k} n={n}: uncomplete(complete) changed a tree"
-            elif list(index_map) != sorted(index_map) or len(index_map) != tree.vertex_count:
-                yield COMPLETION, f"k={k} n={n}: preorder index map malformed"
-            elif any(completed_word[j - 1] != k for j in index_map):
-                yield COMPLETION, (
-                    f"k={k} n={n}: an original vertex is not internal in the completion"
-                )
-            # The codec cores on each pair's word structure, derived once; the round trips check.
+            # The codec cores on each pair's word and its leaders; the round trips check.
             outdegrees = kary_preorder_outdegrees(tree)
             for mark, (position, i) in enumerate(zip(index_map, outdegrees), 1):
                 try:
-                    word, structure = _kary_pair_to_composition(k, n, tree.word, position, i)
-                    decoded = _composition_to_kary_pair(structure)
-                    x, y = _phi(structure)
+                    word, leaders = _kary_pair_to_composition(k, n, tree.word, position, i)
+                    decoded = _composition_to_kary_pair(word, k)
+                    x, y = _phi(word, leaders)
                     images.add((x, y))
                     rebuilt = _phi_inverse(k, n, x, y)
                 except (AssertionError, ValueError) as exc:
@@ -428,34 +423,64 @@ def _cells_scope(cells: Sequence[tuple[int, int]]) -> str:
     return ", ".join(f"k={k}: n<={top}" for k, top in sorted(by_arity.items()))
 
 
-# Each ``verify`` subcommand and the checks it runs, in report order, as a
-# function of the bounds (max_edges, max_arity); ``all`` runs every entry
-# in this order. The entries look the checks up when called.
-CHECKS: dict[str, Callable[[int, int], list[CheckResult]]] = {
-    "theorem1": lambda edges, arity: [check_plane_counts(edges), check_plane_sums(edges)],
-    "theorem2": lambda edges, arity: [
-        check(default_kary_cells(edges, arity)) for check in (check_kary_counts, check_kary_sums)
-    ],
-    "identity1": lambda edges, arity: [check_sequence_identity(edges)],
-    "fine": lambda edges, arity: [check_fine_numbers(edges)],
-    "lagrange": lambda edges, arity: check_series_identities(arity),
-    "bijections": lambda edges, arity: check_bijections(
+class _Sizes(NamedTuple):
+    # What a ``verify`` subcommand's sweeps run at: plane trees of 1..plane
+    # edges, the k-ary cells in sweep order, outdegree-type vectors of
+    # 1..types edges, and the series checks up to ``arity``.
+    plane: int = 0
+    cells: Sequence[tuple[int, int]] = ()
+    types: int = 0
+    arity: int = 0
+
+
+# The one place that decides sweep bounds: each ``verify`` subcommand's
+# sizes as a function of the bounds (max_edges, max_arity).
+SIZES: dict[str, Callable[[int, int], _Sizes]] = {
+    "theorem1": lambda edges, arity: _Sizes(plane=edges),
+    "theorem2": lambda edges, arity: _Sizes(cells=default_kary_cells(edges, arity)),
+    "identity1": lambda edges, arity: _Sizes(types=edges),
+    "fine": lambda edges, arity: _Sizes(plane=edges),
+    "lagrange": lambda edges, arity: _Sizes(arity=arity),
+    "bijections": lambda edges, arity: _Sizes(
         min(edges, BIJECTION_MAX_EDGES),
         [(k, n) for k, n in default_kary_cells(edges, arity) if k * n <= KARY_CELL_LIMIT],
     ),
+}
+# The checks each subcommand runs at its sizes, in report order; ``all``
+# runs every entry in this order. The entries look the checks up when called.
+CHECKS: dict[str, Callable[[_Sizes], list[CheckResult]]] = {
+    "theorem1": lambda s: [check_plane_counts(s.plane), check_plane_sums(s.plane)],
+    "theorem2": lambda s: [check_kary_counts(s.cells), check_kary_sums(s.cells)],
+    "identity1": lambda s: [check_sequence_identity(s.types)],
+    "fine": lambda s: [check_fine_numbers(s.plane)],
+    "lagrange": lambda s: check_series_identities(s.arity),
+    "bijections": lambda s: check_bijections(s.plane, s.cells),
 }
 
 
 def run_checks(
     what: str, max_edges: int = DEFAULT_MAX_EDGES, max_arity: int = DEFAULT_MAX_ARITY
 ) -> list[CheckResult]:
-    """Run the checks of one ``verify`` subcommand (``all``: every one)."""
+    """Run the checks of one ``verify`` subcommand (``all``: every one).
+
+    Every enumeration guard the sweeps will meet is checked first, in sweep
+    order, so a refused run stops before any work, with the message the
+    sweep would give.
+    """
     if what != "all" and what not in CHECKS:
         raise ValueError(f"unknown verification {what!r}")
     if max_edges < 1 or max_arity < 1:
         raise GuardError("--max-edges and --max-arity must be at least 1")
     names = list(CHECKS) if what == "all" else [what]
-    return [result for name in names for result in CHECKS[name](max_edges, max_arity)]
+    runs = [(name, SIZES[name](max_edges, max_arity)) for name in names]
+    for _, sizes in runs:
+        for n in range(1, sizes.plane + 1):
+            check_guard(PLANE_GUARD, n)
+        for k, n in sizes.cells:
+            check_guard(KARY_GUARD, k * n)
+        for n in range(1, sizes.types + 1):
+            check_guard(SEQUENCE_GUARD, n)
+    return [result for name, sizes in runs for result in CHECKS[name](sizes)]
 
 
 def verify_all(

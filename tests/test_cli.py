@@ -12,6 +12,7 @@ from treedegree import (
     format_kary_tree,
     format_marked_kary_tree,
     format_plane_tree,
+    fundamental_decomposition,
     kary_pair_to_composition,
 )
 from treedegree.cli import main
@@ -418,12 +419,12 @@ class TestWordNative:
 
 
 def _tail_heavy(honest):
-    # Moves the last unit block to the front of the tail.
-    def decompose(word):
-        units, tail = honest(word)
-        return units[:-1], units[-1] + tail
+    # The tail starts one unit block early: the last block moves to its front.
+    def tail_start(word):
+        units, _ = fundamental_decomposition(word)
+        return honest(word) - len(units[-1])
 
-    return decompose
+    return tail_start
 
 
 def _one_more_slot(honest):
@@ -435,7 +436,7 @@ def _one_more_slot(honest):
     [
         (
             "plane_trees",
-            "fundamental_decomposition",
+            "_tail_start",
             _tail_heavy,
             lambda: bar_delta_decode(SAMPLE_CYCLIC_WORD, 2),
             ["decode", "plane-pair", "--word", format_composition(SAMPLE_CYCLIC_WORD)],
@@ -463,8 +464,8 @@ def _one_more_slot(honest):
 )
 def test_kept_self_checks_fire(monkeypatch, capsys, module, attr, fault, call, argv, message):
     # The two self-checks that tie a codec word to a tree: a decoded word
-    # must be a unit composition, and an encoded word's (k, n, i) must
-    # match the marked tree.
+    # must be a unit composition, and an encoded word's i must match the
+    # marked tree.
     target = importlib.import_module(f"treedegree.{module}")
     monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
     with pytest.raises(AssertionError, match=message):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from treedegree import (
     is_unit,
     parse_composition,
 )
+from treedegree.compositions import _block_end, _tail_start
 
 compositions = st.lists(st.integers(0, 6), max_size=24).map(tuple)
 
@@ -87,6 +90,26 @@ def test_each_unit_block_decomposes_to_itself(c):
     for u in units:
         assert f_statistic(u) == -1
         assert fundamental_decomposition(u) == ((u,), ())
+
+
+def test_walks_match_the_decomposition():
+    # The two walks against the reference: the tail starts where the unit
+    # blocks end, and a block walk from each block's start ends where the
+    # block does. Every n-part composition of n - i for n <= 8 (the encoded
+    # words of marked plane trees), and seeded 10^4-part words whose parts
+    # average 1, so that the running f wanders and has many record lows.
+    words = [
+        c for n in range(1, 9) for i in range(n + 1) for c in enumerate_compositions(n - i, n)
+    ]
+    rng = random.Random(19900)
+    words += [tuple(rng.choice((0, 0, 1, 3)) for _ in range(10_000)) for _ in range(5)]
+    for c in words:
+        units, _ = fundamental_decomposition(c)
+        start = 0
+        for unit in units:
+            assert _block_end(c, start) == start + len(unit)
+            start += len(unit)
+        assert _tail_start(c) == start
 
 
 def count_factorizations(c):

@@ -1,7 +1,7 @@
 import importlib
 import random
 import time
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 
 import pytest
 from hypothesis import given
@@ -143,7 +143,10 @@ class TestWordCodec:
         # Cycle lemma: f of a shape-valid word is -k, each unit block adds
         # -1 and the positive tail f(tail) >= 0, so there are exactly
         # k + f(tail) >= k unit blocks and the codec needs no block check
-        # after the shape checks pass.
+        # after the shape checks pass. The leaders are the starts of the
+        # first k of them.
+        import treedegree.kary_trees as kary_trees
+
         words = 0
         for k in range(1, 5):
             for n in range(12 // k + 1):
@@ -155,6 +158,8 @@ class TestWordCodec:
                     assert kary_word_parameters(word, k)[:2] == (k, n)
                     units, tail = fundamental_decomposition(tuple(word))
                     assert len(units) == k + f_statistic(tail)
+                    starts = list(accumulate(map(len, units[: k - 1]), initial=0))
+                    assert kary_trees._kary_word_structure(tuple(word), k)[3] == starts
                     words += 1
         assert words == 6435
 
@@ -376,20 +381,22 @@ def test_word_is_the_representation():
     assert KaryTree(2, [None, None]) == L2
 
 
-def test_phi_decomposes_the_word_once(monkeypatch):
+def test_phi_makes_k_minus_1_block_walks(monkeypatch):
+    # The first leader starts the word; each of the other k - 1 is the end
+    # of one block walk, and the core reuses them.
     import treedegree.kary_trees as kary_trees
 
     calls = []
-    honest = kary_trees.fundamental_decomposition
+    honest = kary_trees._block_end
 
-    def counting(word):
-        calls.append(word)
-        return honest(word)
+    def counting(word, start, height=0):
+        calls.append(start)
+        return honest(word, start, height)
 
-    monkeypatch.setattr(kary_trees, "fundamental_decomposition", counting)
+    monkeypatch.setattr(kary_trees, "_block_end", counting)
     pair = phi(SAMPLE_TERNARY_ALPHA)
     assert (pair.X, pair.Y) == (SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)
-    assert calls == [SAMPLE_TERNARY_ALPHA]
+    assert len(calls) == 3 - 1
 
 
 def test_word_decode_moves_the_mark_without_completing(monkeypatch):
@@ -483,13 +490,12 @@ def test_word_cores_round_trip_past_enumeration():
             x = tuple(sorted(rng.sample(range(1, k + 1), i)))
             y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
             word = kary_trees._phi_inverse(k, n, x, y)
-            structure = kary_trees._kary_word_structure(word, k)
-            assert structure[:3] == (k, n, i)
-            tree_word, mark = kary_trees._composition_to_kary_pair(structure)
+            assert kary_trees._kary_word_structure(word, k)[:3] == (k, n, i)
+            tree_word, mark = kary_trees._composition_to_kary_pair(word, k)
             position = [pos for pos, part in enumerate(tree_word, 1) if part][mark - 1]
             filled = kary_trees._filled_slots(tree_word, position)
-            encoded, encoded_structure = kary_trees._kary_pair_to_composition(
+            encoded, leaders = kary_trees._kary_pair_to_composition(
                 k, n, tree_word, position, filled
             )
             assert encoded == word
-            assert kary_trees._phi(encoded_structure) == (x, y)
+            assert kary_trees._phi(encoded, leaders) == (x, y)

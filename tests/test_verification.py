@@ -68,8 +68,8 @@ def _zero_after_first_mark(honest):
 
 
 def _shift_mark(honest):
-    def decode(units, tail, i):
-        word, mark = honest(units, tail, i)
+    def decode(encoded, i):
+        word, mark = honest(encoded, i)
         return word, mark % len(word) + 1
 
     return decode
@@ -88,10 +88,10 @@ def _leaf_for_all(honest):
 
 
 def _mirror_y(honest):
-    def compress(structure):
-        k, n = structure[:2]
-        x, y = honest(structure)
-        return x, tuple(sorted(k * n + 1 - j for j in y))
+    def compress(word, leaders):
+        x, y = honest(word, leaders)
+        top = len(word) - len(leaders)  # kn, the length of beta
+        return x, tuple(sorted(top + 1 - j for j in y))
 
     return compress
 
@@ -176,6 +176,40 @@ def test_guard_exits_2_before_any_theorem1_output(monkeypatch, capsys):
     assert "plane-tree enumeration exceeds the enumeration guard (3 > 2)" in err
 
 
+@pytest.mark.parametrize(
+    "argv, refused, sizes",
+    [
+        (["theorem1", "--max-edges", "15"], "plane-tree", "15 > 14"),
+        (["fine", "--max-edges", "20"], "plane-tree", "15 > 14"),
+        (["identity1", "--max-edges", "31"], "outdegree-type", "31 > 30"),
+        (["all", "--max-arity", "25"], "k-ary tree", "25 > 24"),
+    ],
+    ids=["theorem1", "fine", "identity1", "all"],
+)
+def test_a_refused_run_does_no_work(monkeypatch, capsys, argv, refused, sizes):
+    # Every guard is checked before any sweep runs, and the refusal names
+    # the first size a sweep would have refused: nothing is enumerated.
+    calls = Counter()
+
+    def counting(owner, attr):
+        honest = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("_plane_words", "enumerate_kary_trees", "check_plane_counts"):
+        counting(verification, attr)
+    counting(exact_math, "outdegree_type_sum")
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{refused} enumeration exceeds the enumeration guard ({sizes})" in err
+    assert calls == {}
+
+
 def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
     # An AssertionError outside the per-mark loops ends the k-ary pass: the
     # checks that had not failed yet cannot pass.
@@ -188,7 +222,9 @@ def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
     assert {r.detail for r in results[3:]} == {"enumeration self-check"}
 
 
-def test_each_marked_pair_is_validated_once(monkeypatch):
+def test_marked_pairs_run_no_shape_validation(monkeypatch):
+    # The sweep's words are rotations of enumerated tree words, so their
+    # shape holds by construction and no core validates it.
     import treedegree.kary_trees as kary_trees
 
     calls = Counter()
@@ -208,8 +244,7 @@ def test_each_marked_pair_is_validated_once(monkeypatch):
     results = verification.check_bijections(MAX_EDGES, CELLS)
     assert all(r.passed for r in results)
     trees = [tree for k, n in CELLS for tree in kary_trees.enumerate_kary_trees(k, n)]
-    marked_pairs = sum(tree.vertex_count for tree in trees)
-    assert calls == {"_kary_word_structure": marked_pairs, "kary_preorder_outdegrees": len(trees)}
+    assert calls == {"kary_preorder_outdegrees": len(trees)}
 
 
 def test_a_library_value_error_is_a_fail_line(monkeypatch, capsys):
@@ -397,6 +432,16 @@ def test_a_wrong_inverse_term_names_its_cell(monkeypatch):
         f"FAIL {KARY_DERIVATIVE} [k=1..2, i=0..k, coefficients 1..12]: "
         "k=1 i=0 n=3: series 2 != formula 1"
     )
+
+
+def test_each_row_sum_condition_names_itself(monkeypatch):
+    # A row sum can miss either closed form; the detail shows the one it missed.
+    monkeypatch.setattr(verification, "catalan", _off_at((3,))(verification.catalan))
+    assert verification.check_plane_sums(4).detail == "n=3: row sum 20 != (n+1)*c_n=24"
+    off_b = _off_third_coefficient(verification.kary_series)  # b_2(3) = 14 becomes 15
+    monkeypatch.setattr(verification, "kary_series", off_b)
+    detail = verification.check_kary_sums([(2, 3)]).detail
+    assert detail == "k=2 n=3: row sum 56 != (n+1)*b_k(n)=60"
 
 
 def test_fine_catches_a_wrong_odd_column_start(monkeypatch):
