@@ -23,15 +23,14 @@ a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
-core. The cores take and return plain words and ints: a tree's completion
-word and its mark, the *leaders* (the starts of the word's first k unit
-blocks, found by the block walk of :mod:`treedegree.compositions`), and
-(X, Y) as ascending tuples. The public functions build the
-:class:`MarkedKaryTree` or :class:`SubsetPair` from them, and the
-verification sweeps call the cores and compare words. The cores keep two
-self-checks, which tie a word to a tree: a decoded word must be a unit
-composition, and an encoded word's i must match the marked tree, whose i
-the encoder counts off the marked vertex's own slots.
+core on plain words and ints: a completion word and its mark, the
+*leaders* (the starts of the word's first k unit blocks, found by the
+block walk of :mod:`treedegree.compositions`), and (X, Y) as ascending
+tuples. The encoder is the plane rotation of the completion at the mark's
+image, and the decoder is the plane decode at outdegree k, which keeps its
+one self-check: the rebuilt word is a unit composition. The verification
+sweeps call the cores and compare words; the encoded word's i against the
+marked vertex's filled slots, counted on the tree, is one of those checks.
 """
 
 from __future__ import annotations
@@ -183,9 +182,8 @@ def kary_word_parameters(
 
     Shape requirements (reported as "entry shape"): entries are 0 or a
     single value k (matching ``arity`` when given), the length is k(n+1)
-    and exactly n entries equal k. The shape implies, by the cycle lemma,
-    that the fundamental decomposition has k + f(tail) >= k unit blocks.
-    i counts how many of the first k unit blocks begin with k.
+    and exactly n entries equal k. i counts how many of the first k unit
+    blocks (by the cycle lemma, there are at least k) begin with k.
     """
     return _kary_word_structure(tuple(word), arity)[:3]
 
@@ -220,57 +218,29 @@ def _kary_word_structure(word: Composition, arity: int | None) -> tuple[int, int
             f"entry shape: expected {n} copies of {k} in a word of length {len(word)}, "
             f"found {k_count}"
         )
-    return (k, n, *_block_leaders(word, 0, k))
+    leaders = _block_leaders(word, k)
+    return k, n, sum(1 for lead in leaders if word[lead]), leaders
 
 
-def _block_leaders(word: Composition, start: int, blocks: int) -> tuple[int, list[int]]:
-    # The starts of ``blocks`` >= 1 consecutive unit blocks from ``start``,
-    # and how many of those blocks begin with k.
-    starts = [start]
-    for _ in range(blocks - 1):
-        starts.append(_block_end(word, starts[-1]))
-    return sum(1 for lead in starts if word[lead]), starts
+def _block_leaders(word: Composition, k: int) -> list[int]:
+    # The starts of the word's first k >= 1 unit blocks.
+    leaders = [0]
+    for _ in range(k - 1):
+        leaders.append(_block_end(word, leaders[-1]))
+    return leaders
 
 
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
     """Encode a marked k-ary tree as a 0/k word of length k(n+1).
 
-    Checks the mark and counts the marked vertex's filled slots on the
-    tree's word, not the encoded one. The core then takes the completion's
-    cyclic outdegree word at the mark's image (internal, with outdegree k)
-    and self-checks its i against the tree.
+    Checks the mark, then takes the plane encoding of the completion at
+    the mark's image. The marked vertex's slots are the word's first k unit
+    blocks, and ``verify bijections`` compares the i they give with the tree.
     """
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
         raise ValueError(f"mark {m.mark} out of range 1..{t.vertex_count}")
-    # The mark's completion index: the position of the mark-th nonzero entry.
-    position = [pos for pos, part in enumerate(t.word, 1) if part][m.mark - 1]
-    i = _filled_slots(t.word, position)
-    return _kary_pair_to_composition(t.arity, t.edge_count, t.word, position, i)[0]
-
-
-def _filled_slots(word: Composition, position: int) -> int:
-    # Filled slots of the vertex at 1-based ``position`` of a completion
-    # word: its slots are the next unit blocks, one per slot, and a filled
-    # slot's block starts with k.
-    return _block_leaders(word, position, word[position - 1])[0]
-
-
-def _kary_pair_to_composition(
-    k: int, n: int, tree_word: Composition, position: int, i: int
-) -> tuple[Composition, list[int]]:
-    # The completion word ``tree_word`` of a k-ary tree with n edges, marked
-    # at index ``position`` (i filled slots): the encoded word and its
-    # leaders. The rotation of a tree word has the shape, with the tree's k
-    # and n, so only i is checked.
-    word = _bar_delta_encode(tree_word, position)
-    found, leaders = _block_leaders(word, 0, k)
-    if found != i:
-        raise AssertionError(
-            f"encoded word parameters {(k, n, found)} disagree with the marked tree "
-            f"{(k, n, i)}"
-        )
-    return word, leaders
+    return _bar_delta_encode(t.word, complete(t)[1][m.mark - 1])
 
 
 def composition_to_kary_pair(

@@ -17,12 +17,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact_math
-from ._limits import KARY_GUARD, PLANE_GUARD, SEQUENCE_GUARD, GuardError, check_guard
+from ._limits import KARY_GUARD, PLANE_GUARD, SEQUENCE_GUARD, GuardError, check_guard, guard_limit
 from .compositions import Composition
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
+    _block_leaders,
     _composition_to_kary_pair,
-    _kary_pair_to_composition,
     _phi,
     _phi_inverse,
     complete,
@@ -104,9 +104,11 @@ def _check(name: str, scope: str, details: Iterator[str]) -> CheckResult:
 
 def default_kary_cells(max_edges: int, max_arity: int) -> list[tuple[int, int]]:
     """(k, n) sweep cells: each arity up to max_arity, edges capped so that
-    k*n stays small enough for exhaustive enumeration."""
+    k*n stays small enough for exhaustive enumeration. The list stops at the
+    first arity the k-ary guard refuses at n = 1, as it refuses all later ones."""
+    last = min(max_arity, guard_limit(KARY_GUARD[1]) + 1)
     cells = []
-    for k in range(1, max_arity + 1):
+    for k in range(1, last + 1):
         top = min(max_edges, max(1, KARY_CELL_LIMIT // k))
         cells.extend((k, n) for n in range(1, top + 1))
     return cells
@@ -390,18 +392,21 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
             completed, index_map = complete(tree)
             if uncomplete(completed, k) != tree:
                 yield COMPLETION, f"k={k} n={n}: uncomplete(complete) changed a tree"
-            # The codec cores on each pair's word and its leaders; the round trips check.
+            # The codec cores on each pair's word; its |X| is the encoded i,
+            # compared with the marked vertex's filled slots on the tree.
             outdegrees = kary_preorder_outdegrees(tree)
             for mark, (position, i) in enumerate(zip(index_map, outdegrees), 1):
                 try:
-                    word, leaders = _kary_pair_to_composition(k, n, tree.word, position, i)
+                    word = _bar_delta_encode(tree.word, position)
                     decoded = _composition_to_kary_pair(word, k)
-                    x, y = _phi(word, leaders)
+                    x, y = _phi(word, _block_leaders(word, k))
                     images.add((x, y))
                     rebuilt = _phi_inverse(k, n, x, y)
                 except (AssertionError, ValueError) as exc:
                     yield SUBSETS, str(exc)
                     continue
+                if len(x) != i:
+                    yield SUBSETS, f"k={k} n={n} mark={mark}: encoded i={len(x)}, tree i={i}"
                 if decoded != (tree.word, mark):
                     yield SUBSETS, f"k={k} n={n} mark={mark}: word decode mismatch"
                 elif rebuilt != word:

@@ -13,7 +13,6 @@ from treedegree import (
     format_marked_kary_tree,
     format_plane_tree,
     fundamental_decomposition,
-    kary_pair_to_composition,
 )
 from treedegree.cli import main
 from golden import (
@@ -427,10 +426,6 @@ def _tail_heavy(honest):
     return tail_start
 
 
-def _one_more_slot(honest):
-    return lambda word, position: honest(word, position) + 1
-
-
 @pytest.mark.parametrize(
     "module, attr, fault, call, argv, message",
     [
@@ -442,30 +437,13 @@ def _one_more_slot(honest):
             ["decode", "plane-pair", "--word", format_composition(SAMPLE_CYCLIC_WORD)],
             "rebuilt word is not a unit composition",
         ),
-        (
-            "kary_trees",
-            "_filled_slots",
-            _one_more_slot,
-            lambda: kary_pair_to_composition(
-                MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)
-            ),
-            [
-                "encode",
-                "kary-pair",
-                "--tree",
-                format_kary_tree(SAMPLE_TERNARY_8),
-                "--mark",
-                str(SAMPLE_TERNARY_MARK),
-            ],
-            "disagree with the marked tree",
-        ),
     ],
-    ids=["decoded-word-is-unit", "encoded-parameters-match-tree"],
+    ids=["decoded-word-is-unit"],
 )
 def test_kept_self_checks_fire(monkeypatch, capsys, module, attr, fault, call, argv, message):
-    # The two self-checks that tie a codec word to a tree: a decoded word
-    # must be a unit composition, and an encoded word's i must match the
-    # marked tree.
+    # The one codec self-check, which ties a decoded word to a tree: the
+    # rebuilt word must be a unit composition. The encoded word's i is
+    # compared with the tree by ``verify bijections`` instead.
     target = importlib.import_module(f"treedegree.{module}")
     monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
     with pytest.raises(AssertionError, match=message):

@@ -423,8 +423,8 @@ OTHER_MARKED = MarkedKaryTree(SAMPLE_TERNARY_8, 1)
     [
         (
             "kary_trees",
-            "_kary_pair_to_composition",
-            ((OTHER_WORD, None), OTHER_WORD),
+            "_bar_delta_encode",
+            (OTHER_WORD, OTHER_WORD),
             lambda: kary_pair_to_composition(
                 MarkedKaryTree(SAMPLE_TERNARY_8, SAMPLE_TERNARY_MARK)
             ),
@@ -458,29 +458,17 @@ OTHER_MARKED = MarkedKaryTree(SAMPLE_TERNARY_8, 1)
 def test_public_codec_returns_what_its_core_returns(monkeypatch, module, core, returned, call):
     # Each wrapper validates and then runs its core: one path, no fork. A
     # core returns words and ints, and the wrapper builds its object from
-    # them; the encode core returns the word together with its structure.
+    # them; the k-ary encoder's core is the plane rotation.
     from_core, expected = returned
     assert call() != expected
     monkeypatch.setattr(importlib.import_module(f"treedegree.{module}"), core, lambda *a: from_core)
     assert call() == expected
 
 
-def test_filled_slots_read_one_vertex():
-    # The encoder reads the marked vertex's filled slots off the completion
-    # word alone; they agree with the whole-tree pass at every vertex.
-    import treedegree.kary_trees as kary_trees
-
-    for k in range(1, 5):
-        for n in range(12 // k + 1):
-            for tree in enumerate_kary_trees(k, n):
-                positions = [pos for pos, part in enumerate(tree.word, 1) if part]
-                filled = [kary_trees._filled_slots(tree.word, pos) for pos in positions]
-                assert filled == list(kary_preorder_outdegrees(tree))
-
-
 def test_word_cores_round_trip_past_enumeration():
     # Seeded subset pairs far past the enumeration guard, through the word
-    # cores: phi inverse, decode, encode at the decoded mark, phi.
+    # cores: phi inverse, decode, the tree's i at the decoded mark, the
+    # plane encode at the mark's image in the completion, phi.
     import treedegree.kary_trees as kary_trees
 
     rng = random.Random(20150129)
@@ -492,10 +480,8 @@ def test_word_cores_round_trip_past_enumeration():
             word = kary_trees._phi_inverse(k, n, x, y)
             assert kary_trees._kary_word_structure(word, k)[:3] == (k, n, i)
             tree_word, mark = kary_trees._composition_to_kary_pair(word, k)
-            position = [pos for pos, part in enumerate(tree_word, 1) if part][mark - 1]
-            filled = kary_trees._filled_slots(tree_word, position)
-            encoded, leaders = kary_trees._kary_pair_to_composition(
-                k, n, tree_word, position, filled
-            )
+            tree = kary_trees._kary_tree(k, tree_word)
+            assert kary_preorder_outdegrees(tree)[mark - 1] == i
+            encoded = kary_trees._bar_delta_encode(tree_word, complete(tree)[1][mark - 1])
             assert encoded == word
-            assert kary_trees._phi(encoded, leaders) == (x, y)
+            assert kary_trees._phi(encoded, kary_trees._block_leaders(encoded, k)) == (x, y)

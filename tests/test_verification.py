@@ -3,6 +3,7 @@ per family and size feeds all six bijection checks, each still fails under
 a fault in what it checks, and a failure inside a sweep is a FAIL line.
 A fault table shows that each of the 18 ``verify all`` lines can FAIL."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from treedegree import (
     series,
     verification,
 )
+from treedegree._limits import GuardError
 from treedegree.cli import main
 
 WORD_TRIP = "plane tree <-> outdegree word round trip"
@@ -104,6 +106,14 @@ def _off_subset_count(honest):
     return lambda top, bottom: honest(top, bottom) + ((top, bottom) == (3, 1))
 
 
+def _extra_root_slot(honest):
+    def outdegrees(tree):
+        root, *rest = honest(tree)
+        return (root + 1, *rest)
+
+    return outdegrees
+
+
 # The sweeps run these seams where the ids name the public function: the
 # private codec cores, and the word generator behind enumerate_plane_trees.
 SEAMS = {
@@ -117,14 +127,16 @@ SEAMS = {
     "step, fault, failing",
     [
         ("delta_decode", _path_for_large, {WORD_TRIP}),
-        ("bar_delta_encode", _reverse_encoding, {MARKED_TRIP}),
+        # The k-ary pass runs the plane encoder too, on the completion word.
+        ("bar_delta_encode", _reverse_encoding, {MARKED_TRIP, SUBSETS}),
         ("bar_delta_decode", _shift_mark, {MARKED_TRIP}),
         ("enumerate_plane_trees", _first_tree_twice, {COVER}),
         ("uncomplete", _leaf_for_all, {COMPLETION}),
         ("_phi", _mirror_y, {SUBSETS}),
         ("_phi_inverse", _reverse_word, {SUBSETS}),
         ("binomial", _off_subset_count, {CARDINALITY}),
-        ("bar_delta_encode", _zero_after_first_mark, {MARKED_TRIP, COVER}),
+        ("bar_delta_encode", _zero_after_first_mark, {MARKED_TRIP, COVER, SUBSETS, CARDINALITY}),
+        ("kary_preorder_outdegrees", _extra_root_slot, {SUBSETS}),
     ],
 )
 def test_each_check_fails_under_its_fault(monkeypatch, step, fault, failing):
@@ -135,6 +147,16 @@ def test_each_check_fails_under_its_fault(monkeypatch, step, fault, failing):
     assert {r.name for r in results if not r.passed} == failing
     assert all(r.detail for r in results if not r.passed)
     assert all(r.line().startswith("FAIL") for r in results if r.name in failing)
+
+
+def test_encoded_i_is_compared_with_the_tree(monkeypatch):
+    # The one per-pair tie between an encoded word and its tree: the word's
+    # |X| against the marked vertex's filled slots, counted on the tree.
+    honest = verification.kary_preorder_outdegrees
+    monkeypatch.setattr(verification, "kary_preorder_outdegrees", _extra_root_slot(honest))
+    results = verification.check_bijections(MAX_EDGES, CELLS)
+    [subsets] = [r for r in results if not r.passed]
+    assert subsets.detail == "k=1 n=4 mark=1: encoded i=1, tree i=2"
 
 
 def test_plane_tree_count_is_counted(monkeypatch):
@@ -208,6 +230,22 @@ def test_a_refused_run_does_no_work(monkeypatch, capsys, argv, refused, sizes):
     assert out == ""
     assert f"{refused} enumeration exceeds the enumeration guard ({sizes})" in err
     assert calls == {}
+
+
+@pytest.mark.parametrize("guard, sizes", [(None, "25 > 24"), ("5", "6 > 5")])
+def test_a_huge_arity_is_refused_without_listing_its_cells(monkeypatch, guard, sizes):
+    # The cells stop at the first arity whose (k, 1) the guard refuses, so
+    # the refusal costs the same at any larger arity.
+    if guard is not None:
+        monkeypatch.setenv("TREEDEGREE_GUARD", guard)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=f"k-ary tree enumeration .*\\({sizes}\\)"):
+            verification.run_checks("theorem2", 8, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
