@@ -33,8 +33,7 @@ from .kary_trees import (
 )
 from .plane_trees import (
     MarkedPlaneTree,
-    _format_plane_word,
-    _plane_words,
+    _plane_texts,
     bar_delta_decode,
     delta_decode,
     bar_delta_encode,
@@ -193,7 +192,7 @@ def _emit_trees(args: argparse.Namespace, fields: dict, trees: list[str]) -> int
 
 
 def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
-    trees = list(map(_format_plane_word, _plane_words(args.edges)))
+    trees = list(_plane_texts(args.edges))
     return _emit_trees(args, {"family": "plane", "n": str(args.edges)}, trees)
 
 

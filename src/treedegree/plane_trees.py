@@ -15,10 +15,14 @@ Their private cores take and return plain words and marks, and the public
 functions wrap those in :class:`MarkedPlaneTree`.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
-brute-force oracle for the closed-form counts; it runs an odometer over
-each word's leading parts only and joins every prefix to a cached table
-of the suffixes that finish it. The oracles read the words themselves,
-from the same guarded generator, without wrapping each in a tree.
+brute-force oracle for the closed-form counts. One prefix walker runs an
+odometer over each word's leading parts only, folding a state over each
+prefix; the words join every prefix to a cached table of the suffixes
+that finish it, and the text format of every tree (``enumerate plane``)
+joins each prefix's text to a cached tuple of formatted suffixes, keyed by
+the prefix's pending-children stack. The oracles read the words
+themselves, from the same guarded generator, without wrapping each in a
+tree.
 """
 
 from __future__ import annotations
@@ -134,34 +138,69 @@ def _suffixes(height: int, parts: int) -> tuple[Composition, ...]:
     )
 
 
-def _unit_words(n: int) -> Iterator[Composition]:
-    # All unit (n+1)-part compositions of n in lexicographic order. Words
-    # of at most _BLOCK parts are a suffix table. Longer ones run an
-    # odometer over the first head = n + 1 - _BLOCK positions: position p
-    # with running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
+_State = TypeVar("_State")
+
+
+def _prefixes(
+    n: int, start: _State, step: Callable[[_State, int], _State]
+) -> Iterator[tuple[_State, int]]:
+    # The odometer under every plane enumeration: for each head prefix of
+    # the unit (n+1)-part compositions of n, in lexicographic order, the
+    # state ``step`` folds from ``start`` over its parts, and its f-height
+    # (sum minus length). The head is the first n + 1 - _BLOCK positions;
+    # words of at most _BLOCK parts have one, empty, prefix. Position p with
+    # running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
     # which keeps the prefix f-value nonnegative, while the sum stays
-    # within n, so the prefix ends at f-height 0.._BLOCK - 1. Each prefix
-    # is then joined, in C, to every suffix in the table for its f-height.
+    # within n, so the prefix ends at f-height 0.._BLOCK - 1. The odometer
+    # turns the positions before the last, refolding only the states after
+    # a changed one; the last position is a plain loop over its range.
     head = n + 1 - _BLOCK
     if head <= 0:
-        yield from _suffixes(0, n + 1)
+        yield start, 0
         return
-    word = [0] * head
-    totals = [0] * (head + 1)  # totals[p] = sum(word[:p])
+    last = head - 1
+    word = [0] * last
+    totals = [0] * head  # totals[p] = sum(word[:p])
+    states = [start] * head  # states[p] = step folded over word[:p]
     pos = 0
     while True:
-        for p in range(pos, head):
+        for p in range(pos, last):
             word[p] = max(0, p + 1 - totals[p])
             totals[p + 1] = totals[p] + word[p]
-        yield from map(tuple(word).__add__, _suffixes(totals[head] - head, _BLOCK))
-        pos = head - 1
+            states[p + 1] = step(states[p], word[p])
+        total, state = totals[last], states[last]
+        for part in range(max(0, head - total), n + 1 - total):
+            yield step(state, part), total + part - head
+        pos = last - 1
         while pos >= 0 and totals[pos + 1] == n:
             pos -= 1
         if pos < 0:
             return
         word[pos] += 1
         totals[pos + 1] += 1
+        states[pos + 1] = step(states[pos], word[pos])
         pos += 1
+
+
+def _unit_words(n: int) -> Iterator[Composition]:
+    # All unit (n+1)-part compositions of n in lexicographic order: each
+    # head prefix joined, in C, to every suffix in the table for its f-height.
+    parts = min(n + 1, _BLOCK)
+    prefixes = _prefixes(n, (), lambda prefix, part: prefix + (part,))
+    return chain.from_iterable(
+        map(prefix.__add__, _suffixes(height, parts)) for prefix, height in prefixes
+    )
+
+
+def _unit_texts(n: int) -> Iterator[str]:
+    # The text of every word of _unit_words(n), in its order: each head
+    # prefix's text joined, in C, to the formatted suffixes that finish it
+    # from its pending-children stack.
+    parts = min(n + 1, _BLOCK)
+    return chain.from_iterable(
+        map(text.__add__, _text_suffixes(stack, height, parts))
+        for (text, stack), height in _prefixes(n, ("", ()), _format_step)
+    )
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
@@ -175,10 +214,22 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
 
 def _plane_words(n: int) -> Iterator[Composition]:
     # The words of enumerate_plane_trees, guarded the same way.
+    return chain.from_iterable(map(_unit_words, _checked(n)))
+
+
+def _plane_texts(n: int) -> Iterator[str]:
+    # format_plane_tree of every tree of enumerate_plane_trees, in the same
+    # order, guarded the same way.
+    return chain.from_iterable(map(_unit_texts, _checked(n)))
+
+
+def _checked(n: int) -> Iterator[int]:
+    # n, once the plane guard accepts it: the checks run on first use, and
+    # the items of a chain over it come from C with no generator hop each.
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard(PLANE_GUARD, n)
-    yield from _unit_words(n)
+    yield n
 
 
 def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
@@ -251,8 +302,14 @@ def format_plane_tree(t: PlaneTree) -> str:
 
 def _format_plane_word(word: Composition) -> str:
     # format_plane_tree on the tree's word.
+    return _format_entries(word, [])
+
+
+def _format_entries(word: Composition, pending: list[int]) -> str:
+    # The text of the entries ``word`` after a prefix that left ``pending``
+    # (children still to come, per open vertex, innermost last); updates
+    # ``pending`` to the stack after them.
     out: list[str] = []
-    pending: list[int] = []  # children still to come, per open vertex
     for degree in word:
         if pending:
             pending[-1] -= 1
@@ -263,6 +320,21 @@ def _format_plane_word(word: Composition) -> str:
             if pending:
                 out.append(")")
     return "".join(out)
+
+
+def _format_step(state: tuple[str, tuple[int, ...]], part: int) -> tuple[str, tuple[int, ...]]:
+    # A prefix's (text, pending stack), one part longer.
+    text, stack = state
+    pending = list(stack)
+    text += _format_entries((part,), pending)
+    return text, tuple(pending)
+
+
+@cache
+def _text_suffixes(stack: tuple[int, ...], height: int, parts: int) -> tuple[str, ...]:
+    # The text of every suffix in _suffixes(height, parts), read after a
+    # prefix that left the pending stack ``stack``.
+    return tuple(_format_entries(suffix, list(stack)) for suffix in _suffixes(height, parts))
 
 
 def parse_plane_tree(text: str) -> PlaneTree:

@@ -17,7 +17,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact_math
-from ._limits import KARY_GUARD, PLANE_GUARD, SEQUENCE_GUARD, GuardError, check_guard, guard_limit
+from ._limits import (
+    KARY_GUARD, PLANE_GUARD, SEQUENCE_GUARD, SERIES_GUARD, GuardError, check_guard, guard_limit,
+)
 from .compositions import Composition
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
@@ -468,9 +470,9 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the checks of one ``verify`` subcommand (``all``: every one).
 
-    Every enumeration guard the sweeps will meet is checked first, in sweep
-    order, so a refused run stops before any work, with the message the
-    sweep would give.
+    Every guard the sweeps will meet is checked first, in sweep order, so
+    a refused run stops before any work; an enumeration guard refuses with
+    the message its sweep would give.
     """
     if what != "all" and what not in CHECKS:
         raise ValueError(f"unknown verification {what!r}")
@@ -485,6 +487,7 @@ def run_checks(
             check_guard(KARY_GUARD, k * n)
         for n in range(1, sizes.types + 1):
             check_guard(SEQUENCE_GUARD, n)
+        check_guard(SERIES_GUARD, sizes.arity)
     return [result for name, sizes in runs for result in CHECKS[name](sizes)]
 
 

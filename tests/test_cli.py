@@ -115,6 +115,15 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "plane", "-n", "4")
         assert code == 2 and "guard" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_default_guard_prints_nothing(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "enumerate", "plane", "-n", "15", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: plane-tree enumeration exceeds the enumeration guard (15 > 14); "
+            "set TREEDEGREE_GUARD to raise the limit\n"
+        )
+
     def test_determinism(self, capsys):
         first = run_cli(capsys, "enumerate", "kary", "-k", "3", "-n", "2")
         second = run_cli(capsys, "enumerate", "kary", "-k", "3", "-n", "2")
@@ -408,6 +417,10 @@ class TestWordNative:
             (
                 ["enumerate", "plane", "-n", "10", "--format", "json"],
                 "d70eeb4e8f2da0456e8f9161a513e7544a17ee46ea4017a8930e0c0944ec246e",
+            ),
+            (
+                ["enumerate", "plane", "-n", "12", "--format", "json"],
+                "43d9f236b83af195903cb2c60fd8f9984672919c1caf78dec8fae082c7dd5c9f",
             ),
         ],
     )

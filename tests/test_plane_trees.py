@@ -26,6 +26,7 @@ from treedegree import (
     preorder_outdegrees,
 )
 import treedegree.plane_trees as plane_module
+from treedegree._limits import GuardError
 from golden import SAMPLE_CYCLIC_WORD, SAMPLE_MARK, SAMPLE_TREE_14, SAMPLE_WORD_14, pt
 
 LEAF = PlaneTree()
@@ -156,6 +157,22 @@ class TestBlockEnumeration:
                 table = plane_module._suffixes(height, parts)
                 assert list(table) == sorted(set(table))
                 assert all(len(suffix) == parts for suffix in table)
+
+    def test_texts_match_the_formatter(self):
+        # Table-only sizes, n = _BLOCK - 1 and _BLOCK, and the odometer above.
+        assert plane_module._BLOCK < 11
+        for n in range(0, 12):
+            texts = list(plane_module._plane_texts(n))
+            assert texts == list(map(plane_module._format_plane_word, plane_module._plane_words(n))), n
+
+    def test_texts_guarded_like_the_words(self, monkeypatch):
+        with pytest.raises(GuardError, match=r"plane-tree enumeration .*\(15 > 14\)"):
+            next(plane_module._plane_texts(15))
+        with pytest.raises(ValueError, match="edge count must be nonnegative"):
+            next(plane_module._plane_texts(-1))
+        monkeypatch.setenv("TREEDEGREE_GUARD", "3")
+        with pytest.raises(GuardError, match=r"\(4 > 3\)"):
+            next(plane_module._plane_texts(4))
 
 
 class TestMarkedWords:

@@ -248,6 +248,34 @@ def test_a_huge_arity_is_refused_without_listing_its_cells(monkeypatch, guard, s
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "what, guard, refused",
+    [
+        ("lagrange", None, "series arity exceeds the enumeration guard (400000 > 100)"),
+        ("all", None, "k-ary tree enumeration exceeds the enumeration guard (25 > 24)"),
+        ("lagrange", "5", "series arity exceeds the enumeration guard (400000 > 5)"),
+    ],
+    ids=["lagrange", "all-names-theorem2-first", "lagrange-env"],
+)
+def test_a_huge_series_arity_is_refused_before_any_series(monkeypatch, capsys, what, guard, refused):
+    if guard is not None:
+        monkeypatch.setenv("TREEDEGREE_GUARD", guard)
+    seen = []
+    monkeypatch.setattr(verification, "check_series_identities", lambda k: seen.append(k) or [])
+    assert main(["verify", what, "--max-arity", "400000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and refused in err
+    assert seen == []
+
+
+def test_series_guard_admits_its_default(monkeypatch):
+    # The default arity itself runs.
+    seen = []
+    monkeypatch.setattr(verification, "check_series_identities", lambda k: seen.append(k) or [])
+    assert verification.run_checks("lagrange", 8, 100) == []
+    assert seen == [100]
+
+
 def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
     # An AssertionError outside the per-mark loops ends the k-ary pass: the
     # checks that had not failed yet cannot pass.
