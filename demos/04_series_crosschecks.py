@@ -9,13 +9,13 @@ coefficient.
 
 from treedegree import (
     binomial,
+    catalan_power_coeff,
     catalan_series,
     count_kary_outdegree,
     count_plane_outdegree,
     kary_derivative_series,
     kary_series,
     plane_derivative_series,
-    verify_catalan_power_coeff,
     verify_kary_power_coeff,
 )
 
@@ -33,7 +33,7 @@ print("B_3(z) coefficients:", list(b3.coefficients))
 print()
 print("power-coefficient laws (series value vs closed form):")
 for n, l in [(2, 1), (3, 2), (5, 4)]:
-    print(f"  [z^{n}] C^{l}  -> {verify_catalan_power_coeff(n, l)}")
+    print(f"  [z^{n}] C^{l}  -> {((catalan_series(n) ** l)[n], catalan_power_coeff(n, l))}")
 for k, n, l in [(2, 2, 1), (3, 4, 2), (4, 3, 3)]:
     print(f"  [z^{n}] B_{k}^{l} -> {verify_kary_power_coeff(k, n, l)}")
 

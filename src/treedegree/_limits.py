@@ -1,4 +1,4 @@
-"""Enumeration guards.
+"""Enumeration and series guards.
 
 Exhaustive sweeps grow like Catalan numbers, so every enumerating entry
 point checks a small size limit first; so do the series checks, whose
@@ -14,15 +14,16 @@ import os
 
 GUARD_ENV = "TREEDEGREE_GUARD"
 
-# Each guard: what it refuses, as its message names it, and its default
-# ceiling. Plane trees by edge count, k-ary trees by k*n, outdegree-type
-# vectors by edge count, and the series checks of ``verify lagrange`` by
-# their largest arity: their cost grows about quadratically in it, 0.05 s
-# at k = 24 and 0.3 s at k = 100 (in process, 2-vCPU VM).
-PLANE_GUARD = ("plane-tree enumeration", 14)
-KARY_GUARD = ("k-ary tree enumeration", 24)
-SEQUENCE_GUARD = ("outdegree-type enumeration", 30)
-SERIES_GUARD = ("series arity", 100)
+# Each guard: the opening words of its refusal, which name what it refuses
+# and the guard, and its default ceiling. Plane trees by edge count, k-ary
+# trees by k*n, outdegree-type vectors by edge count, and the series checks
+# of ``verify lagrange`` by their largest arity: their cost grows about
+# quadratically in it, 0.05 s at k = 24 and 0.3 s at k = 100 (in process,
+# 2-vCPU VM).
+PLANE_GUARD = ("plane-tree enumeration exceeds the enumeration guard", 14)
+KARY_GUARD = ("k-ary tree enumeration exceeds the enumeration guard", 24)
+SEQUENCE_GUARD = ("outdegree-type enumeration exceeds the enumeration guard", 30)
+SERIES_GUARD = ("series arity exceeds the series guard", 100)
 
 
 class GuardError(ValueError):
@@ -46,7 +47,4 @@ def check_guard(guard: tuple[str, int], cost: int) -> None:
     label, default = guard
     limit = guard_limit(default)
     if cost > limit:
-        raise GuardError(
-            f"{label} exceeds the enumeration guard ({cost} > {limit}); "
-            f"set {GUARD_ENV} to raise the limit"
-        )
+        raise GuardError(f"{label} ({cost} > {limit}); set {GUARD_ENV} to raise the limit")

@@ -304,37 +304,30 @@ def _cmd_table(args: argparse.Namespace) -> int:
     max_edges = args.max_edges
     if max_edges < 1:
         raise ValueError("--max-edges must be at least 1")
-    columns = list(range(1, max_edges + 1))
     if args.arity is None:
-        rows = list(range(0, max_edges + 1))
+        rows = range(0, max_edges + 1)
         cell = lambda i, n: count_plane_outdegree(n, i)  # noqa: E731
-        family = "plane"
+        fields: dict = {"family": "plane"}
     else:
         if args.arity < 1:
             raise ValueError("--arity must be at least 1")
-        rows = list(range(0, args.arity + 1))
+        rows = range(0, args.arity + 1)
         cell = lambda i, n: count_kary_outdegree(n, args.arity, i)  # noqa: E731
-        family = "kary"
-    matrix = [[cell(i, n) for n in columns] for i in rows]
+        fields = {"family": "kary", "k": str(args.arity)}
+    # Every cell in decimal once; each format is built from these strings.
+    edges = range(1, max_edges + 1)
+    columns = list(map(str, edges))
+    body = [[str(i), *(str(cell(i, n)) for n in edges)] for i in rows]
+    fields["columns"] = columns
+    fields["rows"] = [{"i": i, "counts": counts} for i, *counts in body]
     if args.format == "csv":
-        print("i/n," + ",".join(str(n) for n in columns))
-        for i, row in zip(rows, matrix):
-            print(f"{i}," + ",".join(str(v) for v in row))
-        return 0
-    fields: dict = {"family": family}
-    if args.arity is not None:
-        fields["k"] = str(args.arity)
-    fields["columns"] = [str(n) for n in columns]
-    fields["rows"] = [
-        {"i": str(i), "counts": [str(v) for v in row]} for i, row in zip(rows, matrix)
-    ]
-    headers = ["i\\n"] + [str(n) for n in columns]
-    str_rows = [[str(i)] + [str(v) for v in row] for i, row in zip(rows, matrix)]
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in str_rows))
-        for c in range(len(headers))
-    ]
-    lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in [headers, *str_rows]]
+        lines = [",".join(r) for r in [["i/n", *columns], *body]]
+    elif args.format == "text":
+        grid = [["i\\n", *columns], *body]
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in grid]
+    else:
+        lines = []
     _emit(args, "table", fields, "\n".join(lines))
     return 0
 

@@ -182,27 +182,6 @@ def _prefixes(
         pos += 1
 
 
-def _unit_words(n: int) -> Iterator[Composition]:
-    # All unit (n+1)-part compositions of n in lexicographic order: each
-    # head prefix joined, in C, to every suffix in the table for its f-height.
-    parts = min(n + 1, _BLOCK)
-    prefixes = _prefixes(n, (), lambda prefix, part: prefix + (part,))
-    return chain.from_iterable(
-        map(prefix.__add__, _suffixes(height, parts)) for prefix, height in prefixes
-    )
-
-
-def _unit_texts(n: int) -> Iterator[str]:
-    # The text of every word of _unit_words(n), in its order: each head
-    # prefix's text joined, in C, to the formatted suffixes that finish it
-    # from its pending-children stack.
-    parts = min(n + 1, _BLOCK)
-    return chain.from_iterable(
-        map(text.__add__, _text_suffixes(stack, height, parts))
-        for (text, stack), height in _prefixes(n, ("", ()), _format_step)
-    )
-
-
 def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
     """Yield every plane tree with n edges exactly once.
 
@@ -213,23 +192,34 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
 
 
 def _plane_words(n: int) -> Iterator[Composition]:
-    # The words of enumerate_plane_trees, guarded the same way.
-    return chain.from_iterable(map(_unit_words, _checked(n)))
+    # The words of enumerate_plane_trees, guarded the same way but at the
+    # call: the unit (n+1)-part compositions of n in lexicographic order,
+    # each head prefix joined, in C, to every suffix in the table for its
+    # f-height.
+    parts = _guarded_parts(n)
+    prefixes = _prefixes(n, (), lambda prefix, part: prefix + (part,))
+    return chain.from_iterable(
+        map(prefix.__add__, _suffixes(height, parts)) for prefix, height in prefixes
+    )
 
 
 def _plane_texts(n: int) -> Iterator[str]:
-    # format_plane_tree of every tree of enumerate_plane_trees, in the same
-    # order, guarded the same way.
-    return chain.from_iterable(map(_unit_texts, _checked(n)))
+    # format_plane_tree of every tree of enumerate_plane_trees, in its order,
+    # guarded like _plane_words: each head prefix's text joined, in C, to the
+    # formatted suffixes that finish it from its pending-children stack.
+    parts = _guarded_parts(n)
+    return chain.from_iterable(
+        map(text.__add__, _text_suffixes(stack, height, parts))
+        for (text, stack), height in _prefixes(n, ("", ()), _format_step)
+    )
 
 
-def _checked(n: int) -> Iterator[int]:
-    # n, once the plane guard accepts it: the checks run on first use, and
-    # the items of a chain over it come from C with no generator hop each.
+def _guarded_parts(n: int) -> int:
+    # The suffix length of the n-edge words, once the plane guard accepts n.
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard(PLANE_GUARD, n)
-    yield n
+    return min(n + 1, _BLOCK)
 
 
 def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
@@ -256,12 +246,11 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
     ``word`` must have length n and sum n - i. Writing its fundamental
     decomposition as unit blocks u_1 ... u_s and positive tail p, the word
     p + (i) + u_1 + ... + u_s is always a unit composition; it is the
-    tree, and the mark sits at preorder index len(p) + 1.
+    tree, and the mark sits at preorder index len(p) + 1. The empty word
+    (n = 0, so i = 0) is the single vertex, marked at 1.
     """
     word = tuple(word)
     n = len(word)
-    if n < 1:
-        raise ValueError("encoded word must be nonempty")
     if i < 0 or sum(word) != n - i:
         raise ValueError(
             f"word of length {n} with sum {sum(word)} does not match outdegree {i}"
@@ -297,12 +286,7 @@ def format_plane_tree(t: PlaneTree) -> str:
     The single vertex renders as the empty string; a root with two leaf
     children renders as ``()()``.
     """
-    return _format_plane_word(t.word)
-
-
-def _format_plane_word(word: Composition) -> str:
-    # format_plane_tree on the tree's word.
-    return _format_entries(word, [])
+    return _format_entries(t.word, [])
 
 
 def _format_entries(word: Composition, pending: list[int]) -> str:

@@ -25,8 +25,8 @@ Each is a power, an integer-only inverse and products: O(N^2). The
 series functions only compute. ``verify lagrange`` compares the derivative
 series with the closed-form counts, and the powers of C and B_k with the
 power-coefficient laws ``exact_math.catalan_power_coeff`` and
-``exact_math.kary_power_coeff``; ``verify_catalan_power_coeff`` and
-``verify_kary_power_coeff`` compare one coefficient each.
+``exact_math.kary_power_coeff``; ``verify_kary_power_coeff`` compares
+one coefficient of a power of B_k with its law.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from __future__ import annotations
 from operator import index, mul
 from typing import Iterable, Sequence
 
-from .exact_math import binomial, catalan_power_coeff, exact_div, kary_power_coeff
+from .exact_math import binomial, exact_div, kary_power_coeff
 
 __all__ = [
     "TruncatedSeries",
     "catalan_series",
     "kary_series",
-    "verify_catalan_power_coeff",
     "verify_kary_power_coeff",
     "plane_derivative_series",
     "kary_derivative_series",
@@ -206,18 +205,6 @@ def kary_series(k: int, order: int) -> TruncatedSeries:
         )
         b.append(exact_div(total, n, "Miller power recurrence"))
     return TruncatedSeries(b)
-
-
-def verify_catalan_power_coeff(n: int, l: int) -> tuple[int, int]:
-    """[z^n] C(z)^l from the series and from ``exact_math.catalan_power_coeff``,
-    both returned; disagreement raises AssertionError."""
-    closed_form = catalan_power_coeff(n, l)
-    series_value = (catalan_series(n) ** l)[n]
-    if series_value != closed_form:
-        raise AssertionError(
-            f"[z^{n}] C^{l}: series {series_value} != closed form {closed_form}"
-        )
-    return series_value, closed_form
 
 
 def verify_kary_power_coeff(k: int, n: int, l: int) -> tuple[int, int]:

@@ -47,7 +47,7 @@ from .series import (
     plane_derivative_series,
 )
 
-__all__ = ["CheckResult", "default_kary_cells", "run_checks", "verify_all"]
+__all__ = ["CheckResult", "default_kary_cells", "run_checks"]
 
 # The ``verify`` bounds when none are given: largest edge count and arity.
 DEFAULT_MAX_EDGES = 8
@@ -357,7 +357,8 @@ def _plane_bijections(max_edges: int) -> Iterator[tuple[str, str]]:
                     yield WORD_TRIP, f"decode(encode) changed a tree at n={n}"
             except ValueError:
                 yield WORD_TRIP, f"word {word!r} is not a unit composition"
-            # The single vertex (n = 0) has an empty cyclic word: no marks.
+            # Marks from n = 1, the line's scope. The single vertex's one mark
+            # encodes to the empty word; the codec tests round-trip it.
             for mark, i in enumerate(word, 1) if n else ():
                 try:
                     encoded = _bar_delta_encode(word, mark)
@@ -489,10 +490,3 @@ def run_checks(
             check_guard(SEQUENCE_GUARD, n)
         check_guard(SERIES_GUARD, sizes.arity)
     return [result for name, sizes in runs for result in CHECKS[name](sizes)]
-
-
-def verify_all(
-    max_edges: int = DEFAULT_MAX_EDGES, max_arity: int = DEFAULT_MAX_ARITY
-) -> list[CheckResult]:
-    """Run every verification sweep at the given bounds."""
-    return run_checks("all", max_edges, max_arity)

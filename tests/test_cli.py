@@ -386,6 +386,22 @@ class TestTable:
         second = run_cli(capsys, "table", "--max-edges", "4")
         assert first == second and first[0] == 0
 
+    @pytest.mark.parametrize(
+        "family, fmt, digest",
+        [
+            ([], "text", "777a0f9e97b2a8ca9a9e8a67a861d9d89542536acfb5742f85c56c008a9ad91f"),
+            ([], "json", "254c0e029ff24b780b9cf96581fc8e5e07dac7bf0ef220f5651ad7edc23d37b5"),
+            ([], "csv", "597b47949a7b58c5844da2f942246c722fb9a82f3c2b5712c10571fd3a845e2d"),
+            (["-k", "3"], "text", "c4aafca6a6676d0d0dc40d9a59dd25790e1b48d215805040da0b5d98504b8868"),
+            (["-k", "3"], "json", "29fc59a7ac54a371ba57582b9e63aaa978c13eec0e9b9d593d3386f62c5997ae"),
+            (["-k", "3"], "csv", "4e8ff71e9d341f7ab86959d0c36322c780566f2435aede79125eee3137982a4f"),
+        ],
+    )
+    def test_table_is_pinned(self, capsys, family, fmt, digest):
+        code, out, _ = run_cli(capsys, "table", *family, "--max-edges", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_csv_rejected_elsewhere(self, capsys):
         code, _, err = run_cli(
             capsys, "count", "plane", "-n", "2", "-i", "0", "--format", "csv"

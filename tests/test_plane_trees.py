@@ -27,6 +27,7 @@ from treedegree import (
 )
 import treedegree.plane_trees as plane_module
 from treedegree._limits import GuardError
+from treedegree.cli import main
 from golden import SAMPLE_CYCLIC_WORD, SAMPLE_MARK, SAMPLE_TREE_14, SAMPLE_WORD_14, pt
 
 LEAF = PlaneTree()
@@ -149,7 +150,7 @@ class TestBlockEnumeration:
         # size with an odometer prefix, of one position.
         assert plane_module._BLOCK - 1 < 12
         for n in range(0, 13):
-            assert list(plane_module._unit_words(n)) == list(_odometer_words(n)), n
+            assert list(plane_module._plane_words(n)) == list(_odometer_words(n)), n
 
     def test_suffix_tables_sorted_without_repeats(self):
         for parts in range(1, plane_module._BLOCK + 1):
@@ -163,16 +164,19 @@ class TestBlockEnumeration:
         assert plane_module._BLOCK < 11
         for n in range(0, 12):
             texts = list(plane_module._plane_texts(n))
-            assert texts == list(map(plane_module._format_plane_word, plane_module._plane_words(n))), n
+            assert texts == list(map(format_plane_tree, enumerate_plane_trees(n))), n
 
     def test_texts_guarded_like_the_words(self, monkeypatch):
-        with pytest.raises(GuardError, match=r"plane-tree enumeration .*\(15 > 14\)"):
-            next(plane_module._plane_texts(15))
-        with pytest.raises(ValueError, match="edge count must be nonnegative"):
-            next(plane_module._plane_texts(-1))
+        # Both generators refuse at the call, before any item is asked for.
+        for generate in (plane_module._plane_words, plane_module._plane_texts):
+            with pytest.raises(GuardError, match=r"plane-tree enumeration .*\(15 > 14\)"):
+                generate(15)
+            with pytest.raises(ValueError, match="edge count must be nonnegative"):
+                generate(-1)
         monkeypatch.setenv("TREEDEGREE_GUARD", "3")
-        with pytest.raises(GuardError, match=r"\(4 > 3\)"):
-            next(plane_module._plane_texts(4))
+        for generate in (plane_module._plane_words, plane_module._plane_texts):
+            with pytest.raises(GuardError, match=r"\(4 > 3\)"):
+                generate(4)
 
 
 class TestMarkedWords:
@@ -187,9 +191,20 @@ class TestMarkedWords:
         assert bar_delta_decode((0,), 1) == MarkedPlaneTree(EDGE, 1)
         assert bar_delta_decode((1,), 0) == MarkedPlaneTree(EDGE, 2)
 
+    def test_single_vertex_round_trips(self, capsys):
+        # n = 0: the one mark encodes to the empty word, which decodes back.
+        single = MarkedPlaneTree(PlaneTree(), 1)
+        assert bar_delta_encode(single) == ()
+        assert bar_delta_decode((), 0) == single
+        assert main(["encode", "plane-pair", "--tree", "", "--mark", "1"]) == 0
+        assert capsys.readouterr().out == "()\n"
+        for argv in (["plane-pair", "--word", "()"], ["plane", "--word", "()", "-i", "0"]):
+            assert main(["decode", *argv]) == 0
+            assert capsys.readouterr().out == "@1\n"
+
     def test_decode_validates_word(self):
         with pytest.raises(ValueError):
-            bar_delta_decode((), 0)
+            bar_delta_decode((), 1)  # sum 0 != 0 - 1
         with pytest.raises(ValueError):
             bar_delta_decode((1, 1), 1)  # sum 2 != 2 - 1
         with pytest.raises(ValueError):

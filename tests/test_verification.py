@@ -251,9 +251,9 @@ def test_a_huge_arity_is_refused_without_listing_its_cells(monkeypatch, guard, s
 @pytest.mark.parametrize(
     "what, guard, refused",
     [
-        ("lagrange", None, "series arity exceeds the enumeration guard (400000 > 100)"),
+        ("lagrange", None, "series arity exceeds the series guard (400000 > 100)"),
         ("all", None, "k-ary tree enumeration exceeds the enumeration guard (25 > 24)"),
-        ("lagrange", "5", "series arity exceeds the enumeration guard (400000 > 5)"),
+        ("lagrange", "5", "series arity exceeds the series guard (400000 > 5)"),
     ],
     ids=["lagrange", "all-names-theorem2-first", "lagrange-env"],
 )
