@@ -5,14 +5,16 @@ Subcommands: ``count``, ``enumerate``, ``encode``, ``decode``, ``verify``,
 schema-versioned document per invocation, and JSON count values are
 decimal strings because they outgrow 64-bit integers quickly.
 
-Exit codes: 0 success, 1 verification mismatch or internal consistency
-failure (counterexample printed), 2 usage or validation error.
+Exit codes: 0 success (also when the reader closes stdout early), 1
+verification mismatch or internal consistency failure (counterexample
+printed), 2 usage or validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -357,6 +359,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     set_cap(0)
     try:
         return run(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``), which is no failure.
+        # Point stdout at devnull, so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     finally:
         set_cap(cap)
 

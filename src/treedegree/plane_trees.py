@@ -20,9 +20,9 @@ odometer over each word's leading parts only, folding a state over each
 prefix; the words join every prefix to a cached table of the suffixes
 that finish it, and the text format of every tree (``enumerate plane``)
 joins each prefix's text to a cached tuple of formatted suffixes, keyed by
-the prefix's pending-children stack. The oracles read the words
-themselves, from the same guarded generator, without wrapping each in a
-tree.
+the prefix's pending-children stack. The counting oracles join no words:
+they group the prefixes by f-height and count each group's parts once per
+suffix in its table, and each table's parts once per prefix in the group.
 """
 
 from __future__ import annotations
@@ -120,7 +120,11 @@ def degree_histogram(t: PlaneTree) -> dict[int, int]:
 
 
 # Trailing parts of each word taken from a suffix table, not the odometer.
+# The formatted tables, one per pending stack, grow fast with it.
 _BLOCK = 6
+# The same for the histogram, which caches only each table's size and
+# totals, so longer tables cost it little memory.
+_HISTOGRAM_BLOCK = 8
 
 
 @cache
@@ -142,19 +146,19 @@ _State = TypeVar("_State")
 
 
 def _prefixes(
-    n: int, start: _State, step: Callable[[_State, int], _State]
+    n: int, parts: int, start: _State, step: Callable[[_State, int], _State]
 ) -> Iterator[tuple[_State, int]]:
     # The odometer under every plane enumeration: for each head prefix of
     # the unit (n+1)-part compositions of n, in lexicographic order, the
     # state ``step`` folds from ``start`` over its parts, and its f-height
-    # (sum minus length). The head is the first n + 1 - _BLOCK positions;
-    # words of at most _BLOCK parts have one, empty, prefix. Position p with
-    # running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
+    # (sum minus length). The head is the first n + 1 - ``parts``
+    # positions; with parts = n + 1 there is one, empty, prefix. Position p
+    # with running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
     # which keeps the prefix f-value nonnegative, while the sum stays
-    # within n, so the prefix ends at f-height 0.._BLOCK - 1. The odometer
+    # within n, so the prefix ends at f-height 0..parts - 1. The odometer
     # turns the positions before the last, refolding only the states after
     # a changed one; the last position is a plain loop over its range.
-    head = n + 1 - _BLOCK
+    head = n + 1 - parts
     if head <= 0:
         yield start, 0
         return
@@ -196,30 +200,65 @@ def _plane_words(n: int) -> Iterator[Composition]:
     # call: the unit (n+1)-part compositions of n in lexicographic order,
     # each head prefix joined, in C, to every suffix in the table for its
     # f-height.
-    parts = _guarded_parts(n)
-    prefixes = _prefixes(n, (), lambda prefix, part: prefix + (part,))
+    parts = _guarded_parts(n, _BLOCK)
     return chain.from_iterable(
-        map(prefix.__add__, _suffixes(height, parts)) for prefix, height in prefixes
+        map(prefix.__add__, _suffixes(height, parts))
+        for prefix, height in _prefixes(n, parts, (), _extend)
     )
+
+
+def _extend(prefix: Composition, part: int) -> Composition:
+    # The word walker's fold: the prefix one part longer.
+    return prefix + (part,)
+
+
+def _plane_histogram(n: int) -> tuple[int, Counter[int]]:
+    # The word count and outdegree totals of _plane_words(n), guarded the
+    # same way, without joining a word: the prefixes grouped by f-height,
+    # each group's parts counted once per suffix in its table, and each
+    # table's cached totals once per prefix in the group.
+    parts = _guarded_parts(n, _HISTOGRAM_BLOCK)
+    groups: dict[int, list[Composition]] = {}
+    for prefix, height in _prefixes(n, parts, (), _extend):
+        groups.setdefault(height, []).append(prefix)
+    words, totals = 0, Counter()
+    for height, prefixes in groups.items():
+        size, suffix_totals = _suffix_totals(height, parts)
+        words += size * len(prefixes)
+        for degree, total in Counter(chain.from_iterable(prefixes)).items():
+            totals[degree] += total * size
+        for degree, total in suffix_totals.items():
+            totals[degree] += total * len(prefixes)
+    return words, totals
+
+
+@cache
+def _suffix_totals(height: int, parts: int) -> tuple[int, Counter[int]]:
+    # The size of the suffix table _suffixes(height, parts) and its outdegree
+    # totals. The table is enumerated afresh and dropped: only its parts - 1
+    # subtables stay cached.
+    table = _suffixes.__wrapped__(height, parts)
+    return len(table), Counter(chain.from_iterable(table))
 
 
 def _plane_texts(n: int) -> Iterator[str]:
     # format_plane_tree of every tree of enumerate_plane_trees, in its order,
     # guarded like _plane_words: each head prefix's text joined, in C, to the
     # formatted suffixes that finish it from its pending-children stack.
-    parts = _guarded_parts(n)
+    parts = _guarded_parts(n, _BLOCK)
     return chain.from_iterable(
         map(text.__add__, _text_suffixes(stack, height, parts))
-        for (text, stack), height in _prefixes(n, ("", ()), _format_step)
+        for (text, stack), height in _prefixes(n, parts, ("", ()), _format_step)
     )
 
 
-def _guarded_parts(n: int) -> int:
-    # The suffix length of the n-edge words, once the plane guard accepts n.
+def _guarded_parts(n: int, block: int) -> int:
+    # The suffix length of the n-edge words, at most ``block``, once the
+    # plane guard accepts n.
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard(PLANE_GUARD, n)
-    return min(n + 1, _BLOCK)
+    return min(n + 1, block)
 
 
 def bar_delta_encode(m: MarkedPlaneTree) -> Composition:
@@ -277,7 +316,7 @@ def count_outdegree_bruteforce(n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
-    return sum(word.count(i) for word in _plane_words(n))
+    return _plane_histogram(n)[1].get(i, 0)
 
 
 def format_plane_tree(t: PlaneTree) -> str:

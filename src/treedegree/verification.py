@@ -35,6 +35,7 @@ from .kary_trees import (
 from .plane_trees import (
     _bar_delta_decode,
     _bar_delta_encode,
+    _plane_histogram,
     _plane_words,
     delta_decode,
     preorder_outdegrees,
@@ -128,7 +129,7 @@ def _histogram(words: Iterable[Composition]) -> tuple[int, Counter[int]]:
 def check_plane_counts(max_edges: int) -> CheckResult:
     def failures() -> Iterator[str]:
         for n in range(1, max_edges + 1):
-            tree_count, totals = _histogram(_plane_words(n))
+            tree_count, totals = _plane_histogram(n)
             if tree_count != catalan(n):
                 yield f"n={n}: enumerated {tree_count} trees, expected {catalan(n)}"
             for i in range(0, n + 1):
@@ -213,7 +214,7 @@ def check_fine_numbers(max_edges: int) -> CheckResult:
             fine = 2 * binomial(2 * n - 1, n) + exact_math.fine_number(n - 1)
             if 3 * formula != fine:
                 yield f"n={n}: 3*{formula} != 2*C(2n-1,n) + F(n-1) = {fine}"
-            _, totals = _histogram(_plane_words(n))
+            _, totals = _plane_histogram(n)
             brute = sum(c for d, c in totals.items() if d % 2 == 1)
             if brute != formula:
                 yield f"n={n}: enumeration {brute} != formula {formula}"

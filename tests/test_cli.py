@@ -1,10 +1,13 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import treedegree
 from treedegree import (
     MarkedKaryTree,
     bar_delta_decode,
@@ -123,6 +126,28 @@ class TestEnumerate:
             "error: plane-tree enumeration exceeds the enumeration guard (15 > 14); "
             "set TREEDEGREE_GUARD to raise the limit\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "plane", "-n", "12"], ["table", "--max-edges", "200"]]
+    )
+    def test_a_closed_pipe_exits_0_quietly(self, argv):
+        # ``| head -1``: the reader closes the pipe after one line, while the
+        # writer still has megabytes to go. That is no mismatch: exit 0 with
+        # nothing on stderr.
+        src = os.path.dirname(os.path.dirname(treedegree.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treedegree", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+        assert first.endswith(b"\n") and len(first) > 1
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "enumerate", "kary", "-k", "3", "-n", "2")

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from treedegree import (
 import treedegree.plane_trees as plane_module
 from treedegree._limits import GuardError
 from treedegree.cli import main
+from treedegree.verification import _histogram
 from golden import SAMPLE_CYCLIC_WORD, SAMPLE_MARK, SAMPLE_TREE_14, SAMPLE_WORD_14, pt
 
 LEAF = PlaneTree()
@@ -167,16 +169,35 @@ class TestBlockEnumeration:
             assert texts == list(map(format_plane_tree, enumerate_plane_trees(n))), n
 
     def test_texts_guarded_like_the_words(self, monkeypatch):
-        # Both generators refuse at the call, before any item is asked for.
-        for generate in (plane_module._plane_words, plane_module._plane_texts):
+        # Both generators, and the histogram, refuse at the call, before any
+        # item is asked for.
+        generators = (
+            plane_module._plane_words, plane_module._plane_texts, plane_module._plane_histogram
+        )
+        for generate in generators:
             with pytest.raises(GuardError, match=r"plane-tree enumeration .*\(15 > 14\)"):
                 generate(15)
             with pytest.raises(ValueError, match="edge count must be nonnegative"):
                 generate(-1)
         monkeypatch.setenv("TREEDEGREE_GUARD", "3")
-        for generate in (plane_module._plane_words, plane_module._plane_texts):
+        for generate in generators:
             with pytest.raises(GuardError, match=r"\(4 > 3\)"):
                 generate(4)
+
+    def test_histogram_counts_the_words(self):
+        # Table-only sizes, n = _HISTOGRAM_BLOCK - 1 and _HISTOGRAM_BLOCK, and
+        # the odometer above.
+        assert plane_module._HISTOGRAM_BLOCK < 12
+        for n in range(0, 13):
+            histogram = plane_module._plane_histogram(n)
+            assert histogram == _histogram(plane_module._plane_words(n)), n
+
+    def test_histogram_past_the_word_sweeps(self):
+        # The sizes the sweeps reach only through the histogram, up to the guard.
+        for n in (13, 14):
+            words, totals = plane_module._plane_histogram(n)
+            assert words == catalan(n)
+            assert dict(totals) == {i: comb(2 * n - i - 1, n - 1) for i in range(n + 1)}
 
 
 class TestMarkedWords:

@@ -5,6 +5,7 @@ A fault table shows that each of the 18 ``verify all`` lines can FAIL."""
 
 import tracemalloc
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -18,6 +19,7 @@ from treedegree import (
     exact_math,
     kary_leaf,
     phi,
+    plane_trees,
     series,
     verification,
 )
@@ -83,6 +85,25 @@ def _first_tree_twice(honest):
         return [words[0], *words]
 
     return enumerate_words
+
+
+def _first_prefix_twice(honest):
+    # The prefix walk repeats its first prefix, and so every word it heads.
+    def prefixes(*args):
+        walk = honest(*args)
+        first = next(walk)
+        return chain((first, first), walk)
+
+    return prefixes
+
+
+def _extra_unary_vertex(honest):
+    # Each suffix table's totals count one vertex of outdegree 1 too many.
+    def totals(height, parts):
+        size, counts = honest(height, parts)
+        return size, counts + Counter({1: 1})
+
+    return totals
 
 
 def _leaf_for_all(honest):
@@ -160,11 +181,23 @@ def test_encoded_i_is_compared_with_the_tree(monkeypatch):
 
 
 def test_plane_tree_count_is_counted(monkeypatch):
-    # The check counts the words it is given, so a listed-twice tree shows.
-    monkeypatch.setattr(verification, "_plane_words", _first_tree_twice(verification._plane_words))
+    # The histogram counts the words its prefixes head, so a repeated word shows.
+    monkeypatch.setattr(plane_trees, "_prefixes", _first_prefix_twice(plane_trees._prefixes))
     result = verification.check_plane_counts(3)
     assert not result.passed
     assert result.detail == "n=1: enumerated 2 trees, expected 1"
+
+
+def test_cached_suffix_totals_neither_hide_nor_keep_a_fault(monkeypatch):
+    # The histogram looks its cached table totals up through the module, so a
+    # fault there shows after the honest totals are cached, and no faulty
+    # total is cached for a later call.
+    assert all(r.passed for r in verification.run_checks("theorem1", 5, 1))
+    faulty = _extra_unary_vertex(plane_trees._suffix_totals)
+    with monkeypatch.context() as patch:
+        patch.setattr(plane_trees, "_suffix_totals", faulty)
+        assert verification.check_plane_counts(5).detail == "n=1 i=1: enumeration 2 != formula 1"
+    assert all(r.passed for r in verification.run_checks("theorem1", 5, 1))
 
 
 def test_inexact_division_is_a_fail_line(monkeypatch, capsys):
@@ -222,7 +255,7 @@ def test_a_refused_run_does_no_work(monkeypatch, capsys, argv, refused, sizes):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for attr in ("_plane_words", "enumerate_kary_trees", "check_plane_counts"):
+    for attr in ("_plane_words", "_plane_histogram", "enumerate_kary_trees", "check_plane_counts"):
         counting(verification, attr)
     counting(exact_math, "outdegree_type_sum")
     assert main(["verify", *argv]) == 2
@@ -441,7 +474,8 @@ def _off_third_coefficient(honest):
 # One fault per seam, run through every ``verify all`` line at ALL_BOUNDS,
 # with the exact set of lines it fails; together they fail every line.
 ALL_FAULTS = [
-    (verification, "_plane_words", _first_tree_twice, {PLANE_COUNTS, FINE, COVER}),
+    (verification, "_plane_words", _first_tree_twice, {COVER}),
+    (plane_trees, "_suffix_totals", _extra_unary_vertex, {PLANE_COUNTS, FINE}),
     (verification, "catalan", _off_at((3,)), {PLANE_COUNTS, PLANE_SUMS}),
     (verification, "enumerate_kary_trees", _first_kary_tree_twice, {KARY_COUNTS}),
     (
