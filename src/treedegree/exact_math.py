@@ -107,7 +107,7 @@ def count_plane_degree(n: int, i: int) -> int:
         raise ValueError("edge count must be at least 1")
     if i < 1:
         raise ValueError("degree must be at least 1")
-    return 2 * binomial(2 * n - i - 1, n - 1)
+    return 2 * count_plane_outdegree(n, i)
 
 
 def catalan_power_coeff(n: int, l: int) -> int:

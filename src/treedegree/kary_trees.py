@@ -31,14 +31,20 @@ image, and the decoder is the plane decode at outdegree k, which keeps its
 one self-check: the rebuilt word is a unit composition. The verification
 sweeps call the cores and compare words; the encoded word's i against the
 marked vertex's filled slots, counted on the tree, is one of those checks.
+
+Exhaustive enumeration (:func:`enumerate_kary_trees`) is the brute-force
+oracle for the closed-form counts: the family's one histogram totals the
+filled slots of every enumerated tree in a single pass.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, product
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_GUARD, check_guard
@@ -65,7 +71,6 @@ __all__ = [
     "phi",
     "phi_inverse",
     "enumerate_kary_trees",
-    "count_kary_outdegree_bruteforce",
     "format_kary_tree",
     "parse_kary_tree",
     "format_marked_kary_tree",
@@ -129,18 +134,14 @@ def kary_leaf(arity: int) -> KaryTree:
 
 def kary_preorder_outdegrees(t: KaryTree) -> tuple[int, ...]:
     """Number of filled slots per vertex, in preorder over present vertices."""
-    out: list[int] = []
-    open_vertices: list[list[int]] = []  # [index in out, slots still to read]
-    for part in t.word:
-        if open_vertices:
-            parent = open_vertices[-1]
-            parent[1] -= 1
-            if part:
-                out[parent[0]] += 1
-            if not parent[1]:
-                open_vertices.pop()
+    word = t.word
+    out = [0]
+    owners = [0] * word[0]  # the index in out of each unread slot's vertex
+    for part in word[1:]:
+        owner = owners.pop()
         if part:
-            open_vertices.append([len(out), part])
+            out[owner] += 1
+            owners += [len(out)] * part
             out.append(0)
     return tuple(out)
 
@@ -381,14 +382,15 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
         yield _kary_tree(k, word)
 
 
-def count_kary_outdegree_bruteforce(k: int, n: int, i: int) -> int:
-    """Oracle for the closed-form count: sum outdegree-i vertices over all
-    enumerated k-ary trees with n edges."""
-    if n < 1:
-        raise ValueError("edge count must be at least 1")
-    if i < 0:
-        raise ValueError("outdegree must be nonnegative")
-    return sum(kary_preorder_outdegrees(t).count(i) for t in enumerate_kary_trees(k, n))
+def _kary_histogram(k: int, n: int) -> tuple[int, Counter[int]]:
+    # The tree count and outdegree totals of enumerate_kary_trees(k, n), in
+    # one C-level pass, guarded the same way but at the call. zip draws from
+    # ``seen`` once per tree, so the count is of the trees enumerated, not
+    # derived from the totals.
+    seen = count()
+    trees = map(itemgetter(0), zip(enumerate_kary_trees(k, n), seen))
+    totals = Counter(chain.from_iterable(map(kary_preorder_outdegrees, trees)))
+    return next(seen), totals
 
 
 @dataclass(frozen=True)
@@ -415,12 +417,11 @@ class SubsetPair:
         if not isinstance(doc, dict) or set(doc) != {"k", "n", "X", "Y"}:
             raise ValueError('subset-pair JSON must have keys "k", "n", "X", "Y"')
         k, n = doc["k"], doc["n"]
-        if not isinstance(k, int) or not isinstance(n, int):
+        # JSON gives int or bool, and bool is an int subclass: test the type.
+        if type(k) is not int or type(n) is not int:
             raise ValueError("k and n must be integers")
         for key in ("X", "Y"):
-            if not isinstance(doc[key], list) or not all(
-                isinstance(v, int) for v in doc[key]
-            ):
+            if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
                 raise ValueError(f"{key} must be a list of integers")
         return cls(k, n, frozenset(doc["X"]), frozenset(doc["Y"]))
 

@@ -20,8 +20,9 @@ odometer over each word's leading parts only, folding a state over each
 prefix; the words join every prefix to a cached table of the suffixes
 that finish it, and the text format of every tree (``enumerate plane``)
 joins each prefix's text to a cached tuple of formatted suffixes, keyed by
-the prefix's pending-children stack. The counting oracles join no words:
-they group the prefixes by f-height and count each group's parts once per
+the prefix's pending-children stack. The family's one counting oracle, a
+private histogram of tree count and outdegree totals, joins no words: it
+groups the prefixes by f-height and counts each group's parts once per
 suffix in its table, and each table's parts once per prefix in the group.
 """
 
@@ -46,7 +47,6 @@ __all__ = [
     "enumerate_plane_trees",
     "bar_delta_encode",
     "bar_delta_decode",
-    "count_outdegree_bruteforce",
     "format_plane_tree",
     "parse_plane_tree",
     "format_marked_plane_tree",
@@ -307,16 +307,6 @@ def _bar_delta_decode(word: Composition, i: int) -> tuple[Composition, int]:
     if not is_unit(alpha):
         raise AssertionError(f"rebuilt word is not a unit composition: {alpha!r}")
     return alpha, len(word) - start + 1
-
-
-def count_outdegree_bruteforce(n: int, i: int) -> int:
-    """Oracle for the closed-form count: sum outdegree-i vertices over all
-    enumerated n-edge plane trees."""
-    if n < 1:
-        raise ValueError("edge count must be at least 1")
-    if i < 0:
-        raise ValueError("outdegree must be nonnegative")
-    return _plane_histogram(n)[1].get(i, 0)
 
 
 def format_plane_tree(t: PlaneTree) -> str:

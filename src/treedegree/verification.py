@@ -6,14 +6,14 @@ one failure detail per mismatched cell; one runner turns it into a
 (smallest in the sweep order) is the counterexample. An ``AssertionError``
 or a ``ValueError`` inside a sweep (an inexact division, a codec self-check)
 is a failure too; only a ``GuardError``, such as an enumeration guard, propagates.
+The enumeration oracles of the count checks are one histogram per tree
+family, each in its family module.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact_math
@@ -25,6 +25,7 @@ from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_out
 from .kary_trees import (
     _block_leaders,
     _composition_to_kary_pair,
+    _kary_histogram,
     _phi,
     _phi_inverse,
     complete,
@@ -117,15 +118,6 @@ def default_kary_cells(max_edges: int, max_arity: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _histogram(words: Iterable[Composition]) -> tuple[int, Counter[int]]:
-    # Word count and outdegree totals in one C-level pass. zip draws from
-    # ``seen`` once per word, so the count is of the words given, not
-    # derived from the totals.
-    seen = count()
-    totals = Counter(chain.from_iterable(map(itemgetter(0), zip(words, seen))))
-    return next(seen), totals
-
-
 def check_plane_counts(max_edges: int) -> CheckResult:
     def failures() -> Iterator[str]:
         for n in range(1, max_edges + 1):
@@ -161,9 +153,7 @@ def check_plane_sums(max_edges: int) -> CheckResult:
 def check_kary_counts(cells: Sequence[tuple[int, int]]) -> CheckResult:
     def failures() -> Iterator[str]:
         for k, n in cells:
-            tree_count, totals = _histogram(
-                map(kary_preorder_outdegrees, enumerate_kary_trees(k, n))
-            )
+            tree_count, totals = _kary_histogram(k, n)
             expected = exact_math.exact_div(binomial(k * (n + 1), n), n + 1, "k-ary tree count")
             if tree_count != expected:
                 yield f"k={k} n={n}: enumerated {tree_count} trees, expected {expected}"

@@ -1,7 +1,9 @@
 import importlib
 import random
 import time
+from collections import Counter
 from itertools import accumulate, chain, combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,6 @@ from treedegree import (
     complete,
     composition_to_kary_pair,
     count_kary_outdegree,
-    count_kary_outdegree_bruteforce,
     delta_decode,
     enumerate_compositions,
     enumerate_kary_trees,
@@ -36,6 +37,8 @@ from treedegree import (
     preorder_outdegrees,
     uncomplete,
 )
+from treedegree._limits import GuardError
+from treedegree.kary_trees import _kary_histogram
 from golden import (
     BINARY_TABLE,
     SAMPLE_CYCLIC_WORD,
@@ -51,6 +54,8 @@ from golden import (
 
 L2 = kary_leaf(2)
 L3 = kary_leaf(3)
+# Every (k, n) with k <= 4 and kn <= 12.
+SMALL_CELLS = [(k, n) for k in range(1, 5) for n in range(12 // k + 1)]
 
 
 def binary_trees(max_leaves=12):
@@ -80,6 +85,27 @@ class TestStructure:
 
     def test_preorder_outdegrees(self):
         assert kary_preorder_outdegrees(SAMPLE_TERNARY_8) == (2, 1, 2, 0, 0, 1, 2, 0, 0)
+        for k, n in SMALL_CELLS:
+            for tree in enumerate_kary_trees(k, n):
+                slots, end = _nested(tree.word, 0)
+                assert end == len(tree.word)
+                assert kary_preorder_outdegrees(tree) == _filled_slots(slots), tree
+
+
+def _nested(word, pos):
+    # The vertex at word[pos] as its list of slots, each None or a nested
+    # vertex, and the position after its subtree.
+    slots, end = [], pos + 1
+    for _ in range(word[pos]):
+        sub, end = _nested(word, end) if word[end] else (None, end + 1)
+        slots.append(sub)
+    return slots, end
+
+
+def _filled_slots(slots):
+    # Each vertex's non-empty slots, in preorder, by recursion.
+    children = [sub for sub in slots if sub is not None]
+    return (len(children), *chain.from_iterable(map(_filled_slots, children)))
 
 
 class TestCompletion:
@@ -223,6 +249,21 @@ class TestSubsetCodec:
         with pytest.raises(ValueError):
             SubsetPair.from_json('{"k":3}')
 
+    def test_json_rejects_booleans(self):
+        # bool is an int subclass; JSON true and false are not integers here.
+        for bad in (
+            '{"k": true, "n": 1, "X": [1], "Y": []}',
+            '{"k": 1, "n": false, "X": [], "Y": []}',
+        ):
+            with pytest.raises(ValueError, match="^k and n must be integers$"):
+                SubsetPair.from_json(bad)
+        for key, bad in (
+            ("X", '{"k": 1, "n": 1, "X": [true], "Y": []}'),
+            ("Y", '{"k": 2, "n": 1, "X": [], "Y": [false]}'),
+        ):
+            with pytest.raises(ValueError, match=f"^{key} must be a list of integers$"):
+                SubsetPair.from_json(bad)
+
     def test_full_bijection_small_grid(self):
         from itertools import combinations
 
@@ -281,24 +322,37 @@ class TestEnumeration:
         assert len(set(trees)) == len(trees) == 42
 
     def test_guard(self, monkeypatch):
+        # The enumerator refuses on first use, the histogram when called.
         with pytest.raises(ValueError, match="guard"):
             next(enumerate_kary_trees(5, 5))
+        with pytest.raises(GuardError, match=r"k-ary tree enumeration .*\(25 > 24\)"):
+            _kary_histogram(25, 1)
+        with pytest.raises(ValueError, match="arity must be at least 1"):
+            _kary_histogram(0, 1)
+        with pytest.raises(ValueError, match="edge count must be nonnegative"):
+            _kary_histogram(2, -1)
         monkeypatch.setenv("TREEDEGREE_GUARD", "4")
         with pytest.raises(ValueError, match="guard"):
             next(enumerate_kary_trees(5, 1))
+        with pytest.raises(GuardError, match=r"\(5 > 4\)"):
+            _kary_histogram(5, 1)
         assert sum(1 for _ in enumerate_kary_trees(2, 2)) == 5
 
     def test_bruteforce_counts(self):
-        assert count_kary_outdegree_bruteforce(2, 2, 1) == 8
-        assert count_kary_outdegree_bruteforce(2, 3, 2) == 6
-        assert count_kary_outdegree_bruteforce(3, 1, 0) == 3
+        assert _kary_histogram(2, 2)[1][1] == 8
+        assert _kary_histogram(2, 3)[1][2] == 6
+        assert _kary_histogram(3, 1)[1][0] == 3
 
     def test_bruteforce_matches_closed_form(self):
-        for k, n in [(1, 4), (2, 4), (3, 3), (4, 2)]:
-            for i in range(0, k + 1):
-                assert count_kary_outdegree_bruteforce(k, n, i) == count_kary_outdegree(
-                    n, k, i
-                )
+        # The histogram against a per-tree reference, and its totals against
+        # C(k, i) * C(kn, n - i).
+        for k, n in SMALL_CELLS:
+            trees = list(enumerate_kary_trees(k, n))
+            reference = sum((Counter(kary_preorder_outdegrees(t)) for t in trees), Counter())
+            assert _kary_histogram(k, n) == (len(trees), reference), (k, n)
+            assert len(trees) == comb(k * (n + 1), n) // (n + 1)
+            closed = {i: comb(k, i) * comb(k * n, n - i) for i in range(min(k, n) + 1)}
+            assert dict(reference) == closed, (k, n)
 
 
 class TestTextFormat:
@@ -369,7 +423,8 @@ class TestDeepTrees:
         spine = self.VERTICES // 2
         word = (3, 3, 0, 0, 0, 0) * spine + (0,)
         caterpillar = uncomplete(delta_decode(word), 3)
-        assert kary_preorder_outdegrees(caterpillar)[:4] == (2, 0, 2, 0)
+        # The last spine vertex has only its leaf.
+        assert kary_preorder_outdegrees(caterpillar) == (2, 0) * (spine - 1) + (1, 0)
         self._roundtrip(caterpillar, 3, (2, self.VERTICES - 1))
 
 

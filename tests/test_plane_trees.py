@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
@@ -11,9 +13,7 @@ from treedegree import (
     bar_delta_decode,
     bar_delta_encode,
     catalan,
-    count_outdegree_bruteforce,
     count_plane_degree,
-    count_plane_outdegree,
     degree_histogram,
     delta_decode,
     enumerate_compositions,
@@ -29,7 +29,6 @@ from treedegree import (
 import treedegree.plane_trees as plane_module
 from treedegree._limits import GuardError
 from treedegree.cli import main
-from treedegree.verification import _histogram
 from golden import SAMPLE_CYCLIC_WORD, SAMPLE_MARK, SAMPLE_TREE_14, SAMPLE_WORD_14, pt
 
 LEAF = PlaneTree()
@@ -186,11 +185,15 @@ class TestBlockEnumeration:
 
     def test_histogram_counts_the_words(self):
         # Table-only sizes, n = _HISTOGRAM_BLOCK - 1 and _HISTOGRAM_BLOCK, and
-        # the odometer above.
+        # the odometer above; from n = 1 the totals are the closed form.
         assert plane_module._HISTOGRAM_BLOCK < 12
         for n in range(0, 13):
+            words = list(plane_module._plane_words(n))
             histogram = plane_module._plane_histogram(n)
-            assert histogram == _histogram(plane_module._plane_words(n)), n
+            assert histogram == (len(words), Counter(chain(*words))), n
+            if n:
+                closed = {i: comb(2 * n - i - 1, n - 1) for i in range(n + 1)}
+                assert dict(histogram[1]) == closed, n
 
     def test_histogram_past_the_word_sweeps(self):
         # The sizes the sweeps reach only through the histogram, up to the guard.
@@ -264,18 +267,11 @@ class TestMarkedWords:
 
 class TestBruteForceOracle:
     def test_small_cells(self):
-        assert count_outdegree_bruteforce(2, 0) == 3
-        assert count_outdegree_bruteforce(3, 1) == 6
-        assert count_outdegree_bruteforce(3, 3) == 1
-
-    def test_matches_closed_form(self):
-        for n in range(1, 8):
-            for i in range(0, n + 1):
-                assert count_outdegree_bruteforce(n, i) == count_plane_outdegree(n, i)
+        assert plane_module._plane_histogram(2)[1][0] == 3
+        assert plane_module._plane_histogram(3)[1][1] == 6
+        assert plane_module._plane_histogram(3)[1][3] == 1
 
     def test_degree_doubling_observed(self):
-        from collections import Counter
-
         for n in range(1, 8):
             out_totals: Counter = Counter()
             deg_totals: Counter = Counter()

@@ -18,6 +18,7 @@ from treedegree import (
     composition_to_kary_pair,
     exact_math,
     kary_leaf,
+    kary_trees,
     phi,
     plane_trees,
     series,
@@ -255,7 +256,11 @@ def test_a_refused_run_does_no_work(monkeypatch, capsys, argv, refused, sizes):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for attr in ("_plane_words", "_plane_histogram", "enumerate_kary_trees", "check_plane_counts"):
+    attrs = (
+        "_plane_words", "_plane_histogram", "enumerate_kary_trees", "_kary_histogram",
+        "check_plane_counts",
+    )
+    for attr in attrs:
         counting(verification, attr)
     counting(exact_math, "outdegree_type_sum")
     assert main(["verify", *argv]) == 2
@@ -324,8 +329,6 @@ def test_assertion_in_a_shared_pass_fails_its_open_checks(monkeypatch):
 def test_marked_pairs_run_no_shape_validation(monkeypatch):
     # The sweep's words are rotations of enumerated tree words, so their
     # shape holds by construction and no core validates it.
-    import treedegree.kary_trees as kary_trees
-
     calls = Counter()
 
     def count(module, attr):
@@ -477,7 +480,8 @@ ALL_FAULTS = [
     (verification, "_plane_words", _first_tree_twice, {COVER}),
     (plane_trees, "_suffix_totals", _extra_unary_vertex, {PLANE_COUNTS, FINE}),
     (verification, "catalan", _off_at((3,)), {PLANE_COUNTS, PLANE_SUMS}),
-    (verification, "enumerate_kary_trees", _first_kary_tree_twice, {KARY_COUNTS}),
+    # The bijection pass keeps its own binding, so only the counts line fails.
+    (kary_trees, "enumerate_kary_trees", _first_kary_tree_twice, {KARY_COUNTS}),
     (
         verification,
         "count_kary_outdegree",
