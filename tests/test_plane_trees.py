@@ -14,6 +14,7 @@ from treedegree import (
     bar_delta_encode,
     catalan,
     count_plane_degree,
+    count_plane_outdegree,
     degree_histogram,
     delta_decode,
     enumerate_compositions,
@@ -270,6 +271,12 @@ class TestBruteForceOracle:
         assert plane_module._plane_histogram(2)[1][0] == 3
         assert plane_module._plane_histogram(3)[1][1] == 6
         assert plane_module._plane_histogram(3)[1][3] == 1
+
+    def test_matches_closed_form(self):
+        for n in range(1, 8):
+            totals = plane_module._plane_histogram(n)[1]
+            for i in range(0, n + 1):
+                assert totals[i] == count_plane_outdegree(n, i)
 
     def test_degree_doubling_observed(self):
         for n in range(1, 8):
