@@ -13,21 +13,46 @@ The package has three layers:
 
 :mod:`treedegree.verification` sweeps formulas against exhaustive
 enumeration; the ``treedegree`` command line exposes everything.
+
+Importing the package loads none of these modules. The exports resolve on
+first use: a library module named as an attribute imports on its own, and
+the first exported name, ``__all__`` or ``dir()`` imports the library and
+binds every export here. The command line imports only the layer that each
+command runs.
 """
 
-from . import compositions, exact_math, kary_trees, plane_trees, series, verification
-from .compositions import *  # noqa: F401,F403
-from .exact_math import *  # noqa: F401,F403
-from .kary_trees import *  # noqa: F401,F403
-from .plane_trees import *  # noqa: F401,F403
-from .series import *  # noqa: F401,F403
-from .verification import *  # noqa: F401,F403
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The package exports exactly what each library module exports.
-__all__ = [
-    name
-    for module in (compositions, exact_math, kary_trees, plane_trees, series, verification)
-    for name in module.__all__
-]
+# The library modules, in the order of the package's exports.
+_LIBRARY = ("compositions", "exact_math", "kary_trees", "plane_trees", "series", "verification")
+
+
+def _bind() -> dict:
+    # Once: import the library and bind its exports here. The package exports
+    # exactly what each library module exports, so the library's own __all__
+    # lists are the table; naming one export means importing them all.
+    namespace = globals()
+    if "__all__" not in namespace:
+        modules = [_import_module(f"{__name__}.{name}") for name in _LIBRARY]
+        for module in modules:
+            namespace.update((name, getattr(module, name)) for name in module.__all__)
+        namespace["__all__"] = [name for module in modules for name in module.__all__]
+    return namespace
+
+
+def __getattr__(name: str):
+    if name in _LIBRARY:
+        # A sibling's ``from . import exact_math`` comes here too, so a
+        # module name imports that module alone.
+        return _import_module(f"{__name__}.{name}")
+    if name == "__all__" or not name.startswith("_"):
+        namespace = _bind()
+        if name in namespace:
+            return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(_bind())

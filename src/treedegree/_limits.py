@@ -1,4 +1,4 @@
-"""Enumeration and series guards.
+"""Enumeration and series guards, and the default bounds of ``verify``.
 
 Exhaustive sweeps grow like Catalan numbers, so every enumerating entry
 point checks a small size limit first; so do the series checks, whose
@@ -14,12 +14,20 @@ import os
 
 GUARD_ENV = "TREEDEGREE_GUARD"
 
+# The ``verify`` subcommands in report order (``all`` runs them in this
+# order), and the bounds they run at when none are given: largest edge count
+# and arity. They sit here, beside the guards, so that the command line
+# builds its parser without importing the sweeps.
+CHECK_NAMES = ("theorem1", "theorem2", "identity1", "fine", "lagrange", "bijections")
+DEFAULT_MAX_EDGES = 8
+DEFAULT_MAX_ARITY = 3
+
 # Each guard: the opening words of its refusal, which name what it refuses
 # and the guard, and its default ceiling. Plane trees by edge count, k-ary
-# trees by k*n, outdegree-type vectors by edge count, and the series checks
-# of ``verify lagrange`` by their largest arity: their cost grows about
-# quadratically in it, 0.05 s at k = 24 and 0.3 s at k = 100 (in process,
-# 2-vCPU VM).
+# trees by k*max(n, 1), outdegree-type vectors by edge count, and the
+# series checks of ``verify lagrange`` by their largest arity: their cost
+# grows about quadratically in it, 0.05 s at k = 24 and 0.3 s at k = 100
+# (in process, 2-vCPU VM).
 PLANE_GUARD = ("plane-tree enumeration exceeds the enumeration guard", 14)
 KARY_GUARD = ("k-ary tree enumeration exceeds the enumeration guard", 24)
 SEQUENCE_GUARD = ("outdegree-type enumeration exceeds the enumeration guard", 30)

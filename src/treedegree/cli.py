@@ -8,6 +8,10 @@ decimal strings because they outgrow 64-bit integers quickly.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification mismatch or internal consistency failure (counterexample
 printed), 2 usage or validation error.
+
+A call imports only the layer its command runs: each command imports the
+library functions it calls, so ``count`` loads ``exact_math`` and nothing
+that enumerates, sweeps or expands series.
 """
 
 from __future__ import annotations
@@ -16,33 +20,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
 
-from . import verification
-from .compositions import format_composition, parse_composition
-from .exact_math import count_kary_outdegree, count_plane_outdegree
-from .kary_trees import (
-    MarkedKaryTree,
-    SubsetPair,
-    composition_to_kary_pair,
-    enumerate_kary_trees,
-    format_kary_tree,
-    format_marked_kary_tree,
-    kary_pair_to_composition,
-    parse_kary_tree,
-    phi,
-    phi_inverse,
-)
-from .plane_trees import (
-    MarkedPlaneTree,
-    _plane_texts,
-    bar_delta_decode,
-    delta_decode,
-    bar_delta_encode,
-    format_marked_plane_tree,
-    format_plane_tree,
-    parse_plane_tree,
-)
+from ._limits import CHECK_NAMES, DEFAULT_MAX_ARITY, DEFAULT_MAX_EDGES
 
 SCHEMA = "treedegree/1"
 
@@ -138,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode_subsets)
 
     verify = sub.add_parser("verify", help="formula-vs-oracle sweeps")
-    verify.add_argument("what", choices=[*verification.CHECKS, "all"])
+    verify.add_argument("what", choices=[*CHECK_NAMES, "all"])
     verify.add_argument(
-        "--max-edges", type=int, default=verification.DEFAULT_MAX_EDGES,
+        "--max-edges", type=int, default=DEFAULT_MAX_EDGES,
         help="largest edge count to sweep (lagrange runs at fixed orders)",
     )
     verify.add_argument(
         "-k", "--arity", "--max-arity", dest="max_arity", type=int,
-        default=verification.DEFAULT_MAX_ARITY, help="largest arity to sweep",
+        default=DEFAULT_MAX_ARITY, help="largest arity to sweep",
     )
     _add_format(verify)
     verify.set_defaults(func=_cmd_verify)
@@ -169,6 +148,7 @@ def _emit(args: argparse.Namespace, kind: str, fields: dict, text: str) -> None:
 
 
 def _cmd_count_plane(args: argparse.Namespace) -> int:
+    from .exact_math import count_plane_outdegree
     value = str(count_plane_outdegree(args.edges, args.outdegree))
     fields = {"family": "plane", "n": str(args.edges), "i": str(args.outdegree), "count": value}
     _emit(args, "count", fields, value)
@@ -176,6 +156,7 @@ def _cmd_count_plane(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_kary(args: argparse.Namespace) -> int:
+    from .exact_math import count_kary_outdegree
     value = str(count_kary_outdegree(args.edges, args.arity, args.outdegree))
     fields = {
         "family": "kary", "k": str(args.arity), "n": str(args.edges),
@@ -194,17 +175,21 @@ def _emit_trees(args: argparse.Namespace, fields: dict, trees: list[str]) -> int
 
 
 def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
+    from .plane_trees import _plane_texts
     trees = list(_plane_texts(args.edges))
     return _emit_trees(args, {"family": "plane", "n": str(args.edges)}, trees)
 
 
 def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
+    from .kary_trees import enumerate_kary_trees, format_kary_tree
     trees = [format_kary_tree(t) for t in enumerate_kary_trees(args.arity, args.edges)]
     fields = {"family": "kary", "k": str(args.arity), "n": str(args.edges)}
     return _emit_trees(args, fields, trees)
 
 
 def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
+    from .compositions import format_composition
+    from .plane_trees import MarkedPlaneTree, bar_delta_encode, parse_plane_tree
     tree = parse_plane_tree(args.tree)
     word = bar_delta_encode(MarkedPlaneTree(tree, args.mark))
     n = tree.edge_count
@@ -215,6 +200,8 @@ def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode_kary_pair(args: argparse.Namespace) -> int:
+    from .compositions import format_composition
+    from .kary_trees import MarkedKaryTree, kary_pair_to_composition, parse_kary_tree
     tree = parse_kary_tree(args.tree, args.arity)
     text = format_composition(kary_pair_to_composition(MarkedKaryTree(tree, args.mark)))
     fields = {"what": "kary-pair", "k": str(tree.arity), "n": str(tree.edge_count), "word": text}
@@ -223,6 +210,8 @@ def _cmd_encode_kary_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode_subsets(args: argparse.Namespace) -> int:
+    from .compositions import parse_composition
+    from .kary_trees import phi
     pair = phi(parse_composition(args.word), args.arity, args.edges)
     text = pair.to_json()
     _emit(args, "encode", {"what": "subsets", "pair": json.loads(text)}, text)
@@ -230,6 +219,10 @@ def _cmd_encode_subsets(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_plane(args: argparse.Namespace) -> int:
+    from .compositions import parse_composition
+    from .plane_trees import (
+        bar_delta_decode, delta_decode, format_marked_plane_tree, format_plane_tree,
+    )
     word = parse_composition(args.word)
     if args.outdegree is None:
         rendered = format_plane_tree(delta_decode(word))
@@ -240,6 +233,8 @@ def _cmd_decode_plane(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_plane_pair(args: argparse.Namespace) -> int:
+    from .compositions import parse_composition
+    from .plane_trees import bar_delta_decode, format_marked_plane_tree
     word = parse_composition(args.word)
     derived = len(word) - sum(word)
     if derived < 0:
@@ -252,6 +247,8 @@ def _cmd_decode_plane_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_kary_pair(args: argparse.Namespace) -> int:
+    from .compositions import parse_composition
+    from .kary_trees import composition_to_kary_pair, format_marked_kary_tree
     word = parse_composition(args.word)
     marked = composition_to_kary_pair(word, args.arity, args.edges, args.outdegree)
     rendered = format_marked_kary_tree(marked)
@@ -274,6 +271,8 @@ def _parse_subset(text: str, label: str) -> frozenset[int]:
 
 
 def _cmd_decode_subsets(args: argparse.Namespace) -> int:
+    from .compositions import format_composition
+    from .kary_trees import SubsetPair, phi_inverse
     pair = SubsetPair(
         args.arity,
         args.edges,
@@ -286,7 +285,8 @@ def _cmd_decode_subsets(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_checks(args.what, args.max_edges, args.max_arity)
+    from .verification import run_checks
+    results = run_checks(args.what, args.max_edges, args.max_arity)
     ok = all(r.passed for r in results)
     checks = [
         {
@@ -303,6 +303,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .exact_math import count_kary_outdegree, count_plane_outdegree
     max_edges = args.max_edges
     if max_edges < 1:
         raise ValueError("--max-edges must be at least 1")
@@ -346,7 +347,7 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ rounding, so an algebra mistake fails loudly rather than silently.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ._limits import SEQUENCE_GUARD, check_guard
 

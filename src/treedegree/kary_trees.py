@@ -353,13 +353,14 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
 
     Order: by the bitmask of filled slots (slot 1 = low bit, ascending),
     then lexicographically by the split of the remaining edge budget, then
-    recursively within each filled slot. Guarded on k*n.
+    recursively within each filled slot. Guarded on k*max(n, 1): even the
+    one tree with no edges is a word of k + 1 entries.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    check_guard(KARY_GUARD, k * n)
+    check_guard(KARY_GUARD, k * max(n, 1))
     # words[b] lists the words of all trees with b edges, in order; a
     # tree's subtrees have fewer edges, so their lists are already there.
     words: list[list[Composition]] = [[(k,) + (0,) * k]]

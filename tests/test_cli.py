@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +20,8 @@ from treedegree import (
     format_plane_tree,
     fundamental_decomposition,
 )
-from treedegree.cli import main
+from treedegree import verification
+from treedegree.cli import build_parser, main
 from golden import (
     BINARY_TABLE,
     SAMPLE_CYCLIC_WORD,
@@ -27,6 +31,9 @@ from golden import (
     SAMPLE_TERNARY_MARK,
     SAMPLE_TREE_14,
 )
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +155,17 @@ class TestEnumerate:
         proc.stderr.close()
         assert (proc.wait(), err) == (0, b"")
         assert first.endswith(b"\n") and len(first) > 1
+
+    def test_a_wide_tree_with_no_edges_is_refused_at_once(self, capsys):
+        # The one 0-edge tree is a word of k + 1 entries: the guard charges k.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "kary", "-k", "1000000", "-n", "0")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: k-ary tree enumeration exceeds the enumeration guard (1000000 > 24); "
+            "set TREEDEGREE_GUARD to raise the limit\n"
+        )
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "enumerate", "kary", "-k", "3", "-n", "2")
@@ -370,6 +388,46 @@ class TestVerify:
         assert fail_lines
         # C(3, 1) feeds the n=2, i=0 cell; that is the smallest broken one.
         assert "n=2 i=0" in fail_lines[0]
+
+
+class TestParser:
+    # sha256 of stdout and stderr, taken before the commands imported their
+    # layers lazily. argparse lays out help and errors differently across
+    # Python versions, so these are Python 3.11's, at 80 columns.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11")
+    @pytest.mark.parametrize(
+        "argv, code, out_digest, err_digest",
+        [
+            (
+                ["--help"], 0,
+                "72c7e8f1da9617f89a01f7b21496c454d35a4782e0b678608b81e43574483d56", EMPTY,
+            ),
+            (
+                ["verify", "--help"], 0,
+                "7fcf21a236660d111a39738bc551e19f0f9a463f6a7c31f91435cf53c7dee872", EMPTY,
+            ),
+            (
+                ["verify", "bogus"], 2,
+                EMPTY, "195d5c71564ae8a289d42977d0ddf387b205e7b6117308f3957a74c16c9b24fd",
+            ),
+        ],
+        ids=["help", "verify-help", "verify-bogus"],
+    )
+    def test_parser_output_is_pinned(self, capsys, monkeypatch, argv, code, out_digest, err_digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    def test_verify_choices_and_defaults_are_the_sweeps(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        verify = {a.dest: a for a in commands.choices["verify"]._actions}
+        assert verify["what"].choices == [*verification.CHECKS, "all"]
+        defaults = inspect.signature(verification.run_checks).parameters
+        assert verify["max_edges"].default == defaults["max_edges"].default
+        assert verify["max_arity"].default == defaults["max_arity"].default
 
 
 class TestTable:

@@ -338,6 +338,16 @@ class TestEnumeration:
             _kary_histogram(5, 1)
         assert sum(1 for _ in enumerate_kary_trees(2, 2)) == 5
 
+    def test_the_guard_charges_no_edges_as_one(self):
+        # The one 0-edge tree is still a word of k + 1 entries, so it costs k.
+        with pytest.raises(GuardError, match=r"\(25 > 24\)"):
+            next(enumerate_kary_trees(25, 0))
+        with pytest.raises(GuardError, match=r"\(25 > 24\)"):
+            _kary_histogram(25, 0)
+        for k in (5, 24):
+            assert [t.word for t in enumerate_kary_trees(k, 0)] == [(k,) + (0,) * k]
+            assert _kary_histogram(k, 0) == (1, Counter({0: 1}))
+
     def test_bruteforce_counts(self):
         assert _kary_histogram(2, 2)[1][1] == 8
         assert _kary_histogram(2, 3)[1][2] == 6

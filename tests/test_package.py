@@ -1,5 +1,10 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+
+import pytest
 
 import treedegree
 
@@ -23,3 +28,65 @@ def test_exports_are_the_union_of_the_library_modules():
     for module in library:
         for name in module.__all__:
             assert getattr(treedegree, name) is getattr(module, name)
+
+
+def _loaded_after(code: str) -> set[str]:
+    # The treedegree modules a fresh interpreter holds after running ``code``.
+    src = os.path.dirname(os.path.dirname(treedegree.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {code}\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('treedegree')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+LIBRARY = {
+    f"treedegree.{name}"
+    for name in ("compositions", "exact_math", "kary_trees", "plane_trees", "series", "verification")
+}
+
+
+def test_a_bare_import_loads_no_library_module():
+    assert _loaded_after("import treedegree") == {"treedegree"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "plane", "-n", "5", "-i", "2"], ["table", "--max-edges", "5"]]
+)
+def test_count_and_table_import_only_the_closed_forms(argv):
+    loaded = _loaded_after(f"from treedegree.cli import main; assert main({argv!r}) == 0")
+    assert loaded == {"treedegree", "treedegree._limits", "treedegree.cli", "treedegree.exact_math"}
+
+
+def test_a_library_module_imports_alone():
+    loaded = _loaded_after("import treedegree; treedegree.exact_math.binomial(4, 2)")
+    assert loaded == {"treedegree", "treedegree._limits", "treedegree.exact_math"}
+
+
+@pytest.mark.parametrize("code", ["from treedegree import binomial", "from treedegree import cli"])
+def test_a_public_name_binds_the_whole_library(code):
+    # As the eager import did. Tools that look the library modules up in
+    # sys.modules after ``from treedegree import cli`` still find them all.
+    assert _loaded_after(code) >= LIBRARY
+
+
+def test_the_lazy_namespace_behaves_like_the_eager_one():
+    namespace: dict = {}
+    exec("from treedegree import *", namespace)
+    assert set(treedegree.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(treedegree, name) for name in treedegree.__all__)
+    assert set(treedegree.__all__) | {m.split(".")[1] for m in LIBRARY} <= set(dir(treedegree))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        treedegree.nope
+    assert not hasattr(treedegree, "nope")
+    assert not hasattr(treedegree, "_plane_histogram")
+    assert treedegree.__version__ == "0.1.0"
