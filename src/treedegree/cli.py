@@ -11,12 +11,14 @@ printed), 2 usage or validation error.
 
 A call imports only the layer its command runs: each command imports the
 library functions it calls, so ``count`` loads ``exact_math`` and nothing
-that enumerates, sweeps or expands series.
+that enumerates, sweeps or expands series. :func:`main` builds the parser
+once per process, so repeated in-process calls pay only for their command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,10 +349,16 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # The one parser of this process, built on the first call of main. Help
+    # and usage errors read COLUMNS when they are printed, not here.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # Counts are exact, so they print in full: lift Python's cap on decimal

@@ -48,14 +48,12 @@ def f_statistic(c: Composition) -> int:
 
 def is_unit(c: Composition) -> bool:
     """True iff f stays >= 0 on proper prefixes and reaches -1 at the end."""
-    if not c:
-        return False
-    f = 0
-    for part in c[:-1]:
-        f += part - 1
-        if f < 0:
+    pending = 1  # f + 1 on the prefix read so far: the open slots of a tree
+    for part in c:
+        if pending <= 0:
             return False
-    return f + c[-1] - 1 == -1
+        pending += part - 1
+    return pending == 0
 
 
 def is_positive(c: Composition) -> bool:

@@ -155,7 +155,7 @@ def complete(t: KaryTree) -> tuple[PlaneTree, tuple[int, ...]]:
     k, so a tree with n edges completes to k(n+1) edges. The completion's
     word is ``t.word`` itself, and the map lists the positions of k in it.
     """
-    index_map = tuple(pos for pos, part in enumerate(t.word, 1) if part)
+    index_map = tuple(compress(count(1), t.word))
     return _plane_tree(t.word), index_map
 
 
@@ -296,11 +296,13 @@ def phi(
 
 
 def _phi(word: Composition, leaders: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (X, Y) as ascending tuples; beta is the word without its leaders.
-    x = tuple(j for j, start in enumerate(leaders, 1) if word[start])
-    ends = (*leaders[1:], len(word))
-    beta = chain.from_iterable(word[start + 1 : end] for start, end in zip(leaders, ends))
-    return x, tuple(compress(count(1), beta))
+    # (X, Y) as ascending tuples; beta is the word without its leaders,
+    # deleted last first so that the earlier positions stay put.
+    beta = list(word)
+    for start in reversed(leaders):
+        del beta[start]
+    x = compress(count(1), map(word.__getitem__, leaders))
+    return tuple(x), tuple(compress(count(1), beta))
 
 
 def phi_inverse(pair: "SubsetPair") -> Composition:

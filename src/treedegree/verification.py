@@ -386,10 +386,11 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
                 yield COMPLETION, f"k={k} n={n}: uncomplete(complete) changed a tree"
             # The codec cores on each pair's word; its |X| is the encoded i,
             # compared with the marked vertex's filled slots on the tree.
+            tree_word = tree.word
             outdegrees = kary_preorder_outdegrees(tree)
             for mark, (position, i) in enumerate(zip(index_map, outdegrees), 1):
                 try:
-                    word = _bar_delta_encode(tree.word, position)
+                    word = _bar_delta_encode(tree_word, position)
                     decoded = _composition_to_kary_pair(word, k)
                     x, y = _phi(word, _block_leaders(word, k))
                     images.add((x, y))
@@ -399,7 +400,7 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
                     continue
                 if len(x) != i:
                     yield SUBSETS, f"k={k} n={n} mark={mark}: encoded i={len(x)}, tree i={i}"
-                if decoded != (tree.word, mark):
+                if decoded != (tree_word, mark):
                     yield SUBSETS, f"k={k} n={n} mark={mark}: word decode mismatch"
                 elif rebuilt != word:
                     yield SUBSETS, f"k={k} n={n} mark={mark}: subset round trip mismatch"

@@ -20,7 +20,7 @@ from treedegree import (
     format_plane_tree,
     fundamental_decomposition,
 )
-from treedegree import verification
+from treedegree import cli, verification
 from treedegree.cli import build_parser, main
 from golden import (
     BINARY_TABLE,
@@ -390,35 +390,78 @@ class TestVerify:
         assert "n=2 i=0" in fail_lines[0]
 
 
+# sha256 of stdout and stderr, taken before the commands imported their
+# layers lazily. argparse lays out help and errors differently across Python
+# versions, so these are Python 3.11's, at 80 columns.
+PARSER_PINS = pytest.mark.parametrize(
+    "argv, code, out_digest, err_digest",
+    [
+        (
+            ["--help"], 0,
+            "72c7e8f1da9617f89a01f7b21496c454d35a4782e0b678608b81e43574483d56", EMPTY,
+        ),
+        (
+            ["verify", "--help"], 0,
+            "7fcf21a236660d111a39738bc551e19f0f9a463f6a7c31f91435cf53c7dee872", EMPTY,
+        ),
+        (
+            ["verify", "bogus"], 2,
+            EMPTY, "195d5c71564ae8a289d42977d0ddf387b205e7b6117308f3957a74c16c9b24fd",
+        ),
+    ],
+    ids=["help", "verify-help", "verify-bogus"],
+)
+PINNED_PYTHON = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11"
+)
+
+
 class TestParser:
-    # sha256 of stdout and stderr, taken before the commands imported their
-    # layers lazily. argparse lays out help and errors differently across
-    # Python versions, so these are Python 3.11's, at 80 columns.
-    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11")
-    @pytest.mark.parametrize(
-        "argv, code, out_digest, err_digest",
-        [
-            (
-                ["--help"], 0,
-                "72c7e8f1da9617f89a01f7b21496c454d35a4782e0b678608b81e43574483d56", EMPTY,
-            ),
-            (
-                ["verify", "--help"], 0,
-                "7fcf21a236660d111a39738bc551e19f0f9a463f6a7c31f91435cf53c7dee872", EMPTY,
-            ),
-            (
-                ["verify", "bogus"], 2,
-                EMPTY, "195d5c71564ae8a289d42977d0ddf387b205e7b6117308f3957a74c16c9b24fd",
-            ),
-        ],
-        ids=["help", "verify-help", "verify-bogus"],
-    )
+    @PINNED_PYTHON
+    @PARSER_PINS
     def test_parser_output_is_pinned(self, capsys, monkeypatch, argv, code, out_digest, err_digest):
         monkeypatch.setenv("COLUMNS", "80")
         got, out, err = run_cli(capsys, *argv)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    @PINNED_PYTHON
+    @PARSER_PINS
+    def test_a_parser_built_narrow_prints_at_the_current_width(
+        self, capsys, monkeypatch, argv, code, out_digest, err_digest
+    ):
+        # main keeps its first parser; help and usage errors still take the
+        # width from COLUMNS when they are printed.
+        monkeypatch.setenv("COLUMNS", "40")
+        cli._parser.cache_clear()
+        cli._parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        calls = [
+            ["verify", "theorem1", "--max-edges", "3"],
+            ["verify", "theorem1", "--max-edges", "x"],
+            ["--help"],
+            ["count", "plane", "-n", "5", "-i", "2"],
+            ["verify", "theorem1"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+        builds = []
+        honest = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or honest())
+        cli._parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+        assert len(builds) == 1
 
     def test_verify_choices_and_defaults_are_the_sweeps(self):
         parser = build_parser()

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,16 @@ def test_is_unit_values():
     assert not is_unit((0, 2, 0))
     assert not is_unit(())
     assert not is_unit((2, 0))
+
+
+def test_is_unit_matches_its_definition():
+    # f >= 0 on every proper prefix and f = -1 on the whole word, also for
+    # negative parts, which no composition has.
+    assert not is_unit(())
+    for length in range(1, 8):
+        for c in product(range(-1, 4), repeat=length):
+            f = list(accumulate(part - 1 for part in c))
+            assert is_unit(c) == (min(f[:-1], default=0) >= 0 and f[-1] == -1), c
 
 
 def test_is_positive_values():

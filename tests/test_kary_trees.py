@@ -170,7 +170,8 @@ class TestWordCodec:
         # -1 and the positive tail f(tail) >= 0, so there are exactly
         # k + f(tail) >= k unit blocks and the codec needs no block check
         # after the shape checks pass. The leaders are the starts of the
-        # first k of them.
+        # first k of them. phi's core reads X from those blocks' first
+        # entries and Y from what is left once they are deleted.
         import treedegree.kary_trees as kary_trees
 
         words = 0
@@ -186,6 +187,10 @@ class TestWordCodec:
                     assert len(units) == k + f_statistic(tail)
                     starts = list(accumulate(map(len, units[: k - 1]), initial=0))
                     assert kary_trees._kary_word_structure(tuple(word), k)[3] == starts
+                    x = tuple(j for j, unit in enumerate(units[:k], 1) if unit[0])
+                    beta = chain(*(unit[1:] for unit in units[:k]), *units[k:], tail)
+                    y = tuple(j for j, part in enumerate(beta, 1) if part)
+                    assert kary_trees._phi(tuple(word), starts) == (x, y)
                     words += 1
         assert words == 6435
 
