@@ -11,8 +11,11 @@ printed), 2 usage or validation error.
 
 A call imports only the layer its command runs: each command imports the
 library functions it calls, so ``count`` loads ``exact_math`` and nothing
-that enumerates, sweeps or expands series. :func:`main` builds the parser
-once per process, so repeated in-process calls pay only for their command.
+that enumerates, sweeps or expands series. :func:`build_parser` returns
+the process's one parser, built on its first call, so repeated in-process
+calls of :func:`main` pay only for their command. :func:`main` maps a
+``ValueError`` to exit code 2, an ``AssertionError`` to 1 and a closed
+pipe to 0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ._limits import CHECK_NAMES, DEFAULT_MAX_ARITY, DEFAULT_MAX_EDGES
 
 SCHEMA = "treedegree/1"
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def _add_format(parser: argparse.ArgumentParser, *, csv: bool = False) -> None:
@@ -35,7 +38,10 @@ def _add_format(parser: argparse.ArgumentParser, *, csv: bool = False) -> None:
     parser.add_argument("--format", choices=choices, default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call. Help and
+    usage errors read COLUMNS when they are printed, not here."""
     parser = argparse.ArgumentParser(
         prog="treedegree",
         description="Exact vertex-outdegree counting and bijections for plane and k-ary trees.",
@@ -337,28 +343,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def run(args: argparse.Namespace) -> int:
-    """Execute a parsed request; returns the process exit code."""
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return 1
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # The one parser of this process, built on the first call of main. Help
-    # and usage errors read COLUMNS when they are printed, not here.
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` and run its command; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # Counts are exact, so they print in full: lift Python's cap on decimal
@@ -367,7 +355,16 @@ def main(argv: list[str] | None = None) -> int:
     set_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     set_cap(0)
     try:
-        return run(args)
+        # Inside the pipe handler, so that a reader gone while an error
+        # prints is caught too.
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except AssertionError as exc:
+            print(f"consistency failure: {exc}", file=sys.stderr)
+            return 1
     except BrokenPipeError:
         # The reader closed stdout early (``| head``), which is no failure.
         # Point stdout at devnull, so that the flush at exit stays quiet.

@@ -44,7 +44,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, product
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_GUARD, check_guard
@@ -189,8 +188,11 @@ def kary_word_parameters(
     return _kary_word_structure(tuple(word), arity)[:3]
 
 
-def _kary_word_structure(word: Composition, arity: int | None) -> tuple[int, int, int, list[int]]:
-    # The checks of kary_word_parameters; (k, n, i) and the leaders.
+def _kary_word_structure(
+    word: Composition, arity: int | None, edges: int | None = None
+) -> tuple[int, int, int, list[int]]:
+    # The checks of kary_word_parameters, and of n against ``edges`` when
+    # given; (k, n, i) and the leaders.
     if not word:
         raise ValueError("entry shape: word is empty")
     if min(word) < 0:
@@ -219,6 +221,8 @@ def _kary_word_structure(word: Composition, arity: int | None) -> tuple[int, int
             f"entry shape: expected {n} copies of {k} in a word of length {len(word)}, "
             f"found {k_count}"
         )
+    if edges is not None and edges != n:
+        raise ValueError(f"word encodes n={n}, expected {edges}")
     leaders = _block_leaders(word, k)
     return k, n, sum(1 for lead in leaders if word[lead]), leaders
 
@@ -259,9 +263,7 @@ def composition_to_kary_pair(
     through the preorder index map.
     """
     word = tuple(word)
-    structure = _kary_word_structure(word, k)
-    if n is not None and n != structure[1]:
-        raise ValueError(f"word encodes n={structure[1]}, expected {n}")
+    structure = _kary_word_structure(word, k, n)
     if i is not None and i != structure[2]:
         raise ValueError(f"word encodes outdegree i={structure[2]}, expected {i}")
     word, mark = _composition_to_kary_pair(word, structure[0])
@@ -288,11 +290,9 @@ def phi(
     entries remaining in beta. Validates the word, then runs the core.
     """
     word = tuple(word)
-    structure = _kary_word_structure(word, arity)
-    if edges is not None and edges != structure[1]:
-        raise ValueError(f"word encodes n={structure[1]}, expected {edges}")
-    x, y = _phi(word, structure[3])
-    return SubsetPair(structure[0], structure[1], frozenset(x), frozenset(y))
+    k, n, _, leaders = _kary_word_structure(word, arity, edges)
+    x, y = _phi(word, leaders)
+    return SubsetPair(k, n, frozenset(x), frozenset(y))
 
 
 def _phi(word: Composition, leaders: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -386,14 +386,11 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
 
 
 def _kary_histogram(k: int, n: int) -> tuple[int, Counter[int]]:
-    # The tree count and outdegree totals of enumerate_kary_trees(k, n), in
-    # one C-level pass, guarded the same way but at the call. zip draws from
-    # ``seen`` once per tree, so the count is of the trees enumerated, not
-    # derived from the totals.
-    seen = count()
-    trees = map(itemgetter(0), zip(enumerate_kary_trees(k, n), seen))
-    totals = Counter(chain.from_iterable(map(kary_preorder_outdegrees, trees)))
-    return next(seen), totals
+    # The tree count and outdegree totals of enumerate_kary_trees(k, n),
+    # guarded the same way but at the call. The count is of the trees
+    # enumerated, not derived from the totals.
+    trees = list(enumerate_kary_trees(k, n))
+    return len(trees), Counter(chain.from_iterable(map(kary_preorder_outdegrees, trees)))
 
 
 @dataclass(frozen=True)

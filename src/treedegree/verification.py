@@ -50,7 +50,7 @@ from .series import (
     plane_derivative_series,
 )
 
-__all__ = ["CheckResult", "default_kary_cells", "run_checks"]
+__all__ = ["CheckResult", "run_checks"]
 
 # Caps for exhaustive sweeps: k*n for k-ary cells, edges for plane bijections.
 KARY_CELL_LIMIT = 12
@@ -104,10 +104,10 @@ def _check(name: str, scope: str, details: Iterator[str]) -> CheckResult:
     return _run([(name, scope)], ((name, detail) for detail in details))[0]
 
 
-def default_kary_cells(max_edges: int, max_arity: int) -> list[tuple[int, int]]:
-    """(k, n) sweep cells: each arity up to max_arity, edges capped so that
-    k*n stays small enough for exhaustive enumeration. The list stops at the
-    first arity the k-ary guard refuses at n = 1, as it refuses all later ones."""
+def _default_kary_cells(max_edges: int, max_arity: int) -> list[tuple[int, int]]:
+    # (k, n) sweep cells: each arity up to max_arity, edges capped so that
+    # k*n stays small enough for exhaustive enumeration. The list stops at the
+    # first arity the k-ary guard refuses at n = 1, as it refuses all later ones.
     last = min(max_arity, guard_limit(KARY_GUARD[1]) + 1)
     cells = []
     for k in range(1, last + 1):
@@ -436,13 +436,13 @@ class _Sizes(NamedTuple):
 # ``CHECK_NAMES``.
 SIZES: dict[str, Callable[[int, int], _Sizes]] = dict(zip(CHECK_NAMES, [
     lambda edges, arity: _Sizes(plane=edges),  # theorem1
-    lambda edges, arity: _Sizes(cells=default_kary_cells(edges, arity)),  # theorem2
+    lambda edges, arity: _Sizes(cells=_default_kary_cells(edges, arity)),  # theorem2
     lambda edges, arity: _Sizes(types=edges),  # identity1
     lambda edges, arity: _Sizes(plane=edges),  # fine
     lambda edges, arity: _Sizes(arity=arity),  # lagrange
     lambda edges, arity: _Sizes(  # bijections
         min(edges, BIJECTION_MAX_EDGES),
-        [(k, n) for k, n in default_kary_cells(edges, arity) if k * n <= KARY_CELL_LIMIT],
+        [(k, n) for k, n in _default_kary_cells(edges, arity) if k * n <= KARY_CELL_LIMIT],
     ),
 ], strict=True))
 # The checks each subcommand runs at its sizes, in report order; ``all``

@@ -20,7 +20,7 @@ from treedegree import (
     format_plane_tree,
     fundamental_decomposition,
 )
-from treedegree import cli, verification
+from treedegree import verification
 from treedegree.cli import build_parser, main
 from golden import (
     BINARY_TABLE,
@@ -299,6 +299,33 @@ class TestEncodeDecode:
         assert err == f"error: mark {mark} out of range 1..{vertices}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "plane-pair", "--word", "(2,2)"], "word sum exceeds its length: '(2,2)'"),
+        (
+            ["decode", "subsets", "-k", "2", "-n", "1", "--X", "a"],
+            "--X must be comma-separated integers: 'a'",
+        ),
+        (
+            ["decode", "subsets", "-k", "2", "-n", "1", "--Y", "1,1"],
+            "--Y contains repeated elements: '1,1'",
+        ),
+        (["table", "--max-edges", "0"], "--max-edges must be at least 1"),
+        (["table", "-k", "0"], "--arity must be at least 1"),
+        (["encode", "subsets", "--word", "(2,0,0,0)", "-n", "2"], "word encodes n=1, expected 2"),
+        (
+            ["decode", "kary-pair", "--word", "(2,0,0,0)", "-n", "2"],
+            "word encodes n=1, expected 2",
+        ),
+    ],
+    ids=["word-sum", "X-not-integers", "Y-repeated", "table-edges", "table-arity",
+         "encode-subsets-n", "decode-kary-pair-n"],
+)
+def test_validation_messages_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestVerify:
     def test_all_passes(self, capsys):
         code, out, _ = run_cli(
@@ -434,8 +461,8 @@ class TestParser:
         # main keeps its first parser; help and usage errors still take the
         # width from COLUMNS when they are printed.
         monkeypatch.setenv("COLUMNS", "40")
-        cli._parser.cache_clear()
-        cli._parser()
+        build_parser.cache_clear()
+        build_parser()
         monkeypatch.setenv("COLUMNS", "80")
         got, out, err = run_cli(capsys, *argv)
         assert got == code
@@ -453,15 +480,12 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         fresh = []
         for argv in calls:
-            cli._parser.cache_clear()
+            build_parser.cache_clear()
             fresh.append(run_cli(capsys, *argv))
         assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
-        builds = []
-        honest = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or honest())
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
         assert [run_cli(capsys, *argv) for argv in calls] == fresh
-        assert len(builds) == 1
+        assert build_parser.cache_info().misses == 1
 
     def test_verify_choices_and_defaults_are_the_sweeps(self):
         parser = build_parser()

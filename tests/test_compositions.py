@@ -179,6 +179,12 @@ def test_enumerate_compositions_counts():
             assert words == sorted(words)
 
 
+def test_enumerate_compositions_rejects_a_negative_total():
+    with pytest.raises(ValueError) as excinfo:
+        list(enumerate_compositions(-1, 2))
+    assert str(excinfo.value) == "total and length must be nonnegative"
+
+
 def test_as_composition_rejects_non_integers():
     # int() would silently truncate [1.7, 0.2] to (1, 0).
     assert as_composition([2, 0, 0]) == (2, 0, 0)

@@ -538,20 +538,43 @@ def test_public_codec_returns_what_its_core_returns(monkeypatch, module, core, r
 def test_word_cores_round_trip_past_enumeration():
     # Seeded subset pairs far past the enumeration guard, through the word
     # cores: phi inverse, decode, the tree's i at the decoded mark, the
-    # plane encode at the mark's image in the completion, phi.
+    # plane encode at the mark's image in the completion, phi. The last two
+    # words have kn near 10^5.
     import treedegree.kary_trees as kary_trees
 
     rng = random.Random(20150129)
-    for k in range(1, 5):
-        for n in range(61):
-            i = rng.randint(0, min(k, n))
-            x = tuple(sorted(rng.sample(range(1, k + 1), i)))
-            y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
-            word = kary_trees._phi_inverse(k, n, x, y)
-            assert kary_trees._kary_word_structure(word, k)[:3] == (k, n, i)
-            tree_word, mark = kary_trees._composition_to_kary_pair(word, k)
-            tree = kary_trees._kary_tree(k, tree_word)
-            assert kary_preorder_outdegrees(tree)[mark - 1] == i
-            encoded = kary_trees._bar_delta_encode(tree_word, complete(tree)[1][mark - 1])
-            assert encoded == word
-            assert kary_trees._phi(encoded, kary_trees._block_leaders(encoded, k)) == (x, y)
+    for k, n in (*product(range(1, 5), range(61)), (2, 50_000), (3, 33_333)):
+        i = rng.randint(0, min(k, n))
+        x = tuple(sorted(rng.sample(range(1, k + 1), i)))
+        y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
+        word = kary_trees._phi_inverse(k, n, x, y)
+        assert kary_trees._kary_word_structure(word, k)[:3] == (k, n, i)
+        tree_word, mark = kary_trees._composition_to_kary_pair(word, k)
+        tree = kary_trees._kary_tree(k, tree_word)
+        assert kary_preorder_outdegrees(tree)[mark - 1] == i
+        encoded = kary_trees._bar_delta_encode(tree_word, complete(tree)[1][mark - 1])
+        assert encoded == word
+        assert kary_trees._phi(encoded, kary_trees._block_leaders(encoded, k)) == (x, y)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kary_word_parameters(()), "entry shape: word is empty"),
+        (lambda: kary_word_parameters((0, -1)), "entry shape: entries must be nonnegative"),
+        (lambda: kary_word_parameters((0, 0), 0), "entry shape: arity must be at least 1"),
+        (lambda: uncomplete(delta_decode((2, 0, 0)), 0), "arity must be at least 1"),
+        (
+            lambda: phi_inverse(SubsetPair(0, 0, frozenset(), frozenset())),
+            "subset pair needs k >= 1 and n >= 0",
+        ),
+        (lambda: parse_kary_tree(")"), "unbalanced ')' in ')'"),
+        (lambda: parse_kary_tree("()"), "arity must be at least 1"),
+    ],
+    ids=["empty-word", "negative-entry", "arity-0", "uncomplete-arity-0", "subset-pair-k-0",
+         "unbalanced-close", "empty-group"],
+)
+def test_entry_point_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

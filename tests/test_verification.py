@@ -363,6 +363,12 @@ def test_a_library_value_error_is_a_fail_line(monkeypatch, capsys):
     assert all(line.endswith(detail) for line in lines[3:])
 
 
+def test_an_unknown_check_name_is_refused():
+    with pytest.raises(ValueError) as excinfo:
+        verification.run_checks("bogus")
+    assert str(excinfo.value) == "unknown verification 'bogus'"
+
+
 def test_malformed_guard_still_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("TREEDEGREE_GUARD", "lots")
     assert main(["verify", "fine"]) == 2
