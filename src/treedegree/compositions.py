@@ -13,7 +13,7 @@ codecs where the tail starts and where a block ends, without building it.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -25,7 +25,6 @@ __all__ = [
     "as_composition",
     "f_statistic",
     "is_unit",
-    "is_positive",
     "fundamental_decomposition",
     "format_composition",
     "parse_composition",
@@ -56,22 +55,9 @@ def is_unit(c: Composition) -> bool:
     return pending == 0
 
 
-def is_positive(c: Composition) -> bool:
-    """True iff f stays >= 0 on every prefix (vacuously true when empty)."""
-    f = 0
-    for part in c:
-        f += part - 1
-        if f < 0:
-            return False
-    return True
-
-
 class FundamentalDecomposition(NamedTuple):
     units: tuple[Composition, ...]
     tail: Composition
-
-    def concat(self) -> Composition:
-        return (*chain.from_iterable(self.units), *self.tail)
 
 
 def fundamental_decomposition(c: Composition) -> FundamentalDecomposition:

@@ -20,7 +20,6 @@ from ._limits import SEQUENCE_GUARD, check_guard
 __all__ = [
     "exact_div",
     "binomial",
-    "multinomial",
     "catalan",
     "count_plane_outdegree",
     "count_kary_outdegree",
@@ -51,12 +50,8 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / (parts[0]! * parts[1]! * ...) if the parts sum to n, else 0."""
-    if any(p < 0 for p in parts):
-        raise ValueError("multinomial parts must be nonnegative")
-    if sum(parts) != n:
-        return 0
+def _multinomial(parts: Sequence[int]) -> int:
+    # sum(parts)! / prod(p!) for nonnegative parts, as a product of binomials.
     result = 1
     consumed = 0
     for p in parts:
@@ -211,9 +206,7 @@ def outdegree_type_sum(n: int, i: int) -> int:
     for vec in _outdegree_type_vectors(n):
         r_i = vec[i] if i <= n else 0
         if r_i:
-            total += exact_div(
-                r_i * multinomial(n + 1, vec), n + 1, "outdegree-type term"
-            )
+            total += exact_div(r_i * _multinomial(vec), n + 1, "outdegree-type term")
     return total
 
 

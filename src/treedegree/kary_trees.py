@@ -64,7 +64,6 @@ __all__ = [
     "kary_preorder_outdegrees",
     "complete",
     "uncomplete",
-    "kary_word_parameters",
     "kary_pair_to_composition",
     "composition_to_kary_pair",
     "phi",
@@ -175,24 +174,15 @@ def uncomplete(p: PlaneTree, k: int) -> KaryTree:
     return _kary_tree(k, word)
 
 
-def kary_word_parameters(
-    word: Composition, arity: int | None = None
-) -> tuple[int, int, int]:
-    """Validate a marked-pair word and return its (k, n, i).
-
-    Shape requirements (reported as "entry shape"): entries are 0 or a
-    single value k (matching ``arity`` when given), the length is k(n+1)
-    and exactly n entries equal k. i counts how many of the first k unit
-    blocks (by the cycle lemma, there are at least k) begin with k.
-    """
-    return _kary_word_structure(tuple(word), arity)[:3]
-
-
 def _kary_word_structure(
     word: Composition, arity: int | None, edges: int | None = None
 ) -> tuple[int, int, int, list[int]]:
-    # The checks of kary_word_parameters, and of n against ``edges`` when
-    # given; (k, n, i) and the leaders.
+    # The one structure check of every marked-word entry. Shape (reported
+    # as "entry shape"): entries are 0 or a single value k (matching
+    # ``arity`` when given), the length is k(n+1) and exactly n entries
+    # equal k; then n must match ``edges`` when given. Returns (k, n, i)
+    # and the leaders, where i counts how many of the first k unit blocks
+    # (by the cycle lemma, there are at least k) begin with k.
     if not word:
         raise ValueError("entry shape: word is empty")
     if min(word) < 0:
@@ -407,23 +397,6 @@ class SubsetPair:
             {"k": self.k, "n": self.n, "X": sorted(self.X), "Y": sorted(self.Y)},
             separators=(",", ":"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubsetPair":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid subset-pair JSON: {exc}") from None
-        if not isinstance(doc, dict) or set(doc) != {"k", "n", "X", "Y"}:
-            raise ValueError('subset-pair JSON must have keys "k", "n", "X", "Y"')
-        k, n = doc["k"], doc["n"]
-        # JSON gives int or bool, and bool is an int subclass: test the type.
-        if type(k) is not int or type(n) is not int:
-            raise ValueError("k and n must be integers")
-        for key in ("X", "Y"):
-            if not isinstance(doc[key], list) or not all(type(v) is int for v in doc[key]):
-                raise ValueError(f"{key} must be a list of integers")
-        return cls(k, n, frozenset(doc["X"]), frozenset(doc["Y"]))
 
 
 def format_kary_tree(t: KaryTree) -> str:

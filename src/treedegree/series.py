@@ -151,14 +151,6 @@ class TruncatedSeries:
             return TruncatedSeries.constant(0, self.order)
         return TruncatedSeries((0,) * m + self.coefficients[: size - m])
 
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        """Deliberately drop to a lower truncation order."""
-        if not 0 <= new_order <= self.order:
-            raise ValueError(
-                f"new order must lie in 0..{self.order}, got {new_order}"
-            )
-        return TruncatedSeries(self.coefficients[: new_order + 1])
-
 
 def _product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
     """Coefficients 0..top of a*b; both sequences must reach index top."""

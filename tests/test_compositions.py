@@ -11,7 +11,6 @@ from treedegree import (
     f_statistic,
     format_composition,
     fundamental_decomposition,
-    is_positive,
     is_unit,
     parse_composition,
 )
@@ -34,6 +33,11 @@ def test_is_unit_values():
     assert not is_unit((2, 0))
 
 
+def is_positive(c):
+    # Reference: f >= 0 on every prefix, the whole word included; true when empty.
+    return min(accumulate(part - 1 for part in c), default=0) >= 0
+
+
 def test_is_unit_matches_its_definition():
     # f >= 0 on every proper prefix and f = -1 on the whole word, also for
     # negative parts, which no composition has.
@@ -42,12 +46,6 @@ def test_is_unit_matches_its_definition():
         for c in product(range(-1, 4), repeat=length):
             f = list(accumulate(part - 1 for part in c))
             assert is_unit(c) == (min(f[:-1], default=0) >= 0 and f[-1] == -1), c
-
-
-def test_is_positive_values():
-    assert is_positive((3, 2, 0))
-    assert not is_positive((0,))
-    assert is_positive(())
 
 
 def test_decomposition_worked_examples():
@@ -78,8 +76,8 @@ def test_empty_composition_decomposes_trivially():
 
 @given(compositions)
 def test_decomposition_concat_roundtrip(c):
-    decomposition = fundamental_decomposition(c)
-    assert decomposition.concat() == c
+    units, tail = fundamental_decomposition(c)
+    assert sum(units, ()) + tail == c
 
 
 @given(compositions)

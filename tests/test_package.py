@@ -1,8 +1,10 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +92,36 @@ def test_the_lazy_namespace_behaves_like_the_eager_one():
     assert not hasattr(treedegree, "nope")
     assert not hasattr(treedegree, "_plane_histogram")
     assert treedegree.__version__ == "0.1.0"
+
+
+# Exports that nothing outside the tests calls, and why they stay public.
+UNCALLED_EXPORTS = {
+    # Return types: callers get them from a function and never name them.
+    "FundamentalDecomposition",
+    "CheckResult",
+    # The only oracle for the degree half of Theorem 1, until ROADMAP item 2
+    # gives it a verify line.
+    "degree_histogram",
+}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # A name counts as called when it appears, as a whole word, in a Python
+    # file of src/, demos/ or perfbench/ other than its defining module.
+    repo = Path(treedegree.__file__).resolve().parents[2]
+    texts = {
+        path.resolve(): path.read_text()
+        for top in ("src", "demos", "perfbench")
+        for path in (repo / top).rglob("*.py")
+    }
+    uncalled = []
+    for module in map(importlib.import_module, sorted(LIBRARY)):
+        home = Path(module.__file__).resolve()
+        others = [text for path, text in texts.items() if path != home]
+        uncalled += [
+            name
+            for name in module.__all__
+            if name not in UNCALLED_EXPORTS
+            and not any(re.search(rf"\b{name}\b", text) for text in others)
+        ]
+    assert not uncalled, f"exports with no caller outside the tests: {uncalled}"
