@@ -26,7 +26,7 @@ DEFAULT_MAX_ARITY = 3
 # and the guard, and its default ceiling. Plane trees by edge count, k-ary
 # trees by k*max(n, 1), outdegree-type vectors by edge count, and the
 # series checks of ``verify lagrange`` by their largest arity: their cost
-# grows about quadratically in it, 0.05 s at k = 24 and 0.3 s at k = 100
+# grows about quadratically in it, 0.03 s at k = 24 and 0.2 s at k = 100
 # (in process, 2-vCPU VM).
 PLANE_GUARD = ("plane-tree enumeration exceeds the enumeration guard", 14)
 KARY_GUARD = ("k-ary tree enumeration exceeds the enumeration guard", 24)

@@ -51,10 +51,11 @@ def binomial(n: int, m: int) -> int:
 
 
 def _multinomial(parts: Sequence[int]) -> int:
-    # sum(parts)! / prod(p!) for nonnegative parts, as a product of binomials.
+    # sum(parts)! / prod(p!) for nonnegative parts, as a product of binomials;
+    # a zero part contributes C(consumed, 0) = 1 and is skipped.
     result = 1
     consumed = 0
-    for p in parts:
+    for p in filter(None, parts):
         consumed += p
         result *= math.comb(consumed, p)
     return result
@@ -151,18 +152,21 @@ def fine_number(n: int) -> int:
 def count_odd_outdegree(n: int) -> int:
     """Total number of odd-outdegree vertices over all plane trees with n edges.
 
-    Computed as the odd column of :func:`count_plane_outdegree` from i = 1,
-    each step i -> i + 2 an exact ratio (n-i)(n-i-1) / ((2n-i-1)(2n-i-2))
-    done by :func:`exact_div`. The Fine relation
+    Computed as the odd column of :func:`count_plane_outdegree`, walked
+    from the largest odd i <= n down to i = 1, so from the smallest term,
+    C(n-1, n-1) or C(n, n-1), up. Each step i -> i - 2 is the exact ratio
+    (2n-i+1)(2n-i) / ((n-i+2)(n-i+1)), done by :func:`exact_div`, the two
+    small factors multiplied before they meet the big term. The Fine relation
     3 * odd(n) = 2*C(2n-1, n) + F_{n-1} is checked by ``verify fine``.
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
-    total = term = count_plane_outdegree(n, 1)
-    for i in range(1, n - 1, 2):
+    top = n if n % 2 else n - 1
+    total = term = count_plane_outdegree(n, top)
+    for i in range(top, 1, -2):
         term = exact_div(
-            term * (n - i) * (n - i - 1),
-            (2 * n - i - 1) * (2 * n - i - 2),
+            term * ((2 * n - i + 1) * (2 * n - i)),
+            (n - i + 2) * (n - i + 1),
             "odd-column ratio step",
         )
         total += term

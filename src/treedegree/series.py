@@ -9,10 +9,17 @@ P = F^k with F = 1 + z*B_k and f_0 = 1,
 
     n * p_n = sum_{j=1..n} ((k+1)*j - n) * f_j * p_{n-j},
 
-and since P = B_k this reads n*b_n = sum ((k+1)j - n) b_{j-1} b_{n-j},
-O(N^2) operations in all, each quotient checked by ``exact_div``. The
-independent check that B_k - (1 + z*B_k)^k vanishes, by plain truncated
-multiplication, lives in ``verification._check_residuals``.
+and since P = B_k this reads n*b_n = sum ((k+1)j - n) b_{j-1} b_{n-j}.
+Substituting j -> n+1-j swaps the two factors, so each weight may be
+replaced by its average with its mirror's, ((k-1)n + k + 1)/2:
+
+    2n * b_n = ((k-1)n + k + 1) * sum_{j=0..n-1} b_j b_{n-1-j},
+
+a self-convolution like Segner's, each product of two distinct
+coefficients taken once and doubled. O(N^2) operations in all, each
+quotient checked by ``exact_div``. The independent check that
+B_k - (1 + z*B_k)^k vanishes, by plain truncated multiplication, lives
+in ``verification._check_residuals``.
 
 The derivative-at-1 series of the bivariate vertex-marking generating
 functions are geometric sums of shifted powers of C and B_k, taken in
@@ -131,15 +138,14 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TruncatedSeries.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if not exponent:
+            return TruncatedSeries.constant(1, self.order)
+        # Square and multiply below the leading bit, which is ``self`` itself.
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def shift(self, m: int) -> "TruncatedSeries":
@@ -157,6 +163,16 @@ def _product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
     return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(top + 1)]
 
 
+def _self_convolution(a: Sequence[int], m: int) -> int:
+    """sum_{j=0..m} a_j a_{m-j}, a reaching index m: the products with
+    j < m - j once and doubled, plus the middle square when m is even."""
+    half = (m + 1) // 2
+    total = 2 * sum(map(mul, a[:half], a[m : m - half : -1]))
+    if not m % 2:
+        total += a[m // 2] ** 2
+    return total
+
+
 def _inverse(q: Sequence[int], top: int) -> list[int]:
     """Coefficients 0..top of 1/q, q_0 = 1: r_0 = 1, r_n = -sum_{j=1..n} q_j r_{n-j}."""
     r = [1]
@@ -166,13 +182,13 @@ def _inverse(q: Sequence[int], top: int) -> list[int]:
 
 
 def catalan_series(order: int) -> TruncatedSeries:
-    """C(z) with C = 1 + z*C^2, via the convolution c_n = sum c_j c_{n-1-j}."""
+    """C(z) with C = 1 + z*C^2, via Segner's convolution c_n = sum c_j c_{n-1-j}."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     c = [0] * (order + 1)
     c[0] = 1
     for n in range(1, order + 1):
-        c[n] = sum(c[j] * c[n - 1 - j] for j in range(n))
+        c[n] = _self_convolution(c, n - 1)
     return TruncatedSeries(c)
 
 
@@ -181,10 +197,13 @@ def kary_series(k: int, order: int) -> TruncatedSeries:
 
     Coefficient n comes from Miller's power recurrence for (1 + z*B)^k
     (Knuth, TAOCP Vol. 2, 4.7), which only involves coefficients of B
-    below n: n*b_n = sum_{j=1..n} ((k+1)j - n) * b_{j-1} * b_{n-j}, the
-    division by n done by ``exact_div``. O(order^2) operations. The
-    defining equation itself is checked independently, by plain truncated
-    multiplication, in ``verification._check_residuals``.
+    below n: n*b_n = sum_{j=1..n} ((k+1)j - n) * b_{j-1} * b_{n-j}. The
+    terms j and n+1-j share a product, so averaging their weights gives
+    the same sum as 2n*b_n = ((k-1)n + k + 1) * sum_j b_j b_{n-1-j}, a
+    self-convolution with half the products; ``exact_div`` divides by 2n.
+    O(order^2) operations. The defining equation itself is checked
+    independently, by plain truncated multiplication, in
+    ``verification._check_residuals``.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
@@ -192,10 +211,8 @@ def kary_series(k: int, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     b = [1]
     for n in range(1, order + 1):
-        total = sum(
-            ((k + 1) * j - n) * b[j - 1] * b[n - j] for j in range(1, n + 1)
-        )
-        b.append(exact_div(total, n, "Miller power recurrence"))
+        total = ((k - 1) * n + k + 1) * _self_convolution(b, n - 1)
+        b.append(exact_div(total, 2 * n, "Miller power recurrence"))
     return TruncatedSeries(b)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,20 @@ def segner_catalan(limit):
     for n in range(limit):
         values.append(sum(values[j] * values[n - j] for j in range(n + 1)))
     return values
+
+
+def odd_column_forward(n):
+    # Reference for count_odd_outdegree: the odd column walked up from
+    # C(2n-2, n-1) at i = 1, each step i -> i + 2 the ratio
+    # (n-i)(n-i-1) / ((2n-i-1)(2n-i-2)).
+    total = term = math.comb(2 * n - 2, n - 1)
+    for i in range(1, n - 1, 2):
+        term, remainder = divmod(
+            term * (n - i) * (n - i - 1), (2 * n - i - 1) * (2 * n - i - 2)
+        )
+        assert remainder == 0
+        total += term
+    return total
 
 
 def fine_closed_form(n):
@@ -222,6 +238,12 @@ class TestOddOutdegree:
                 count_plane_outdegree(n, i) for i in range(1, n + 1, 2)
             )
             assert count_odd_outdegree(n) == expected
+
+    def test_matches_the_forward_walk_and_the_binomial_sum(self):
+        for n in range(1, 201):
+            odd = count_odd_outdegree(n)
+            assert odd == odd_column_forward(n)
+            assert odd == sum(math.comb(2 * n - i - 1, n - 1) for i in range(1, n + 1, 2))
 
 
 class TestOutdegreeSequenceIdentity:

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import mul
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +32,26 @@ def naive_product(a, b):
         for j, y in enumerate(b[: len(a) - i]):
             out[i + j] += x * y
     return tuple(out)
+
+
+def miller_weighted(k, order):
+    # Reference for kary_series: Miller's recurrence as written,
+    # n*b_n = sum_{j=1..n} ((k+1)j - n) b_{j-1} b_{n-j}, every term weighted.
+    b = [1]
+    for n in range(1, order + 1):
+        total = sum(((k + 1) * j - n) * b[j - 1] * b[n - j] for j in range(1, n + 1))
+        quotient, remainder = divmod(total, n)
+        assert remainder == 0
+        b.append(quotient)
+    return tuple(b)
+
+
+def segner_plain(order):
+    # Reference for catalan_series: c_n = sum_{j<n} c_j c_{n-1-j}, every product taken.
+    c = [1]
+    for n in range(1, order + 1):
+        c.append(sum(c[j] * c[n - 1 - j] for j in range(n)))
+    return tuple(c)
 
 
 def shifted_power_plane(i, order):
@@ -99,6 +122,12 @@ class TestTruncatedSeries:
         product = TruncatedSeries(a) * TruncatedSeries(b)
         assert product.coefficients == naive_product(a, b)
 
+    def test_power_matches_repeated_multiplication(self):
+        for s in (catalan_series(40), kary_series(3, 40)):
+            assert s ** 0 == TruncatedSeries.constant(1, 40)
+            for e in range(1, 7):
+                assert s ** e == reduce(mul, [s] * e)
+
     def test_float_coefficients_rejected(self):
         # int() would silently truncate these to (1, 2).
         with pytest.raises(TypeError):
@@ -164,6 +193,13 @@ class TestDefiningEquations:
         residual = [line for line in lines if "defining-equation residuals" in line]
         assert code == 1
         assert len(residual) == 1 and residual[0].startswith("FAIL ")
+
+    def test_catalan_matches_the_plain_segner_sum(self):
+        assert catalan_series(80).coefficients == segner_plain(80)
+
+    def test_kary_matches_the_weighted_miller_sum(self):
+        for k in range(1, 7):
+            assert kary_series(k, 80).coefficients == miller_weighted(k, 80)
 
     def test_kary_closed_form(self):
         for k in range(1, 6):

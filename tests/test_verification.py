@@ -555,12 +555,25 @@ def test_each_row_sum_condition_names_itself(monkeypatch):
 
 
 def test_fine_catches_a_wrong_odd_column_start(monkeypatch):
-    # count_odd_outdegree starts its ratio steps from count_plane_outdegree(n, 1),
-    # and returns what they give; the fine line compares it with the Fine
-    # relation and with enumeration.
+    # count_odd_outdegree starts its ratio steps from count_plane_outdegree(n, i)
+    # at the largest odd i <= n, which is i = 1 at n = 2, and returns what they
+    # give; the fine line compares it with the Fine relation and with enumeration.
     real = exact_math.count_plane_outdegree
     monkeypatch.setattr(exact_math, "count_plane_outdegree", lambda n, i: real(n, i) + (n == 2))
     assert exact_math.count_odd_outdegree(2) == 3 and exact_math.count_odd_outdegree(3) == 7
     [result] = verification.run_checks("fine", 4, 1)
     assert not result.passed
     assert result.detail == "n=2: 3*3 != 2*C(2n-1,n) + F(n-1) = 6"
+
+
+def test_an_inexact_odd_column_step_fails_loudly(monkeypatch, capsys):
+    # At n = 6 the walk starts from C(6, 5) = 6 at i = 5. Starting from 7
+    # instead makes the step to i = 3, 7 * (8 * 7) / (3 * 2), inexact.
+    off = _off_at((6, 5))(exact_math.count_plane_outdegree)
+    monkeypatch.setattr(exact_math, "count_plane_outdegree", off)
+    message = "odd-column ratio step: 392 is not divisible by 6"
+    with pytest.raises(AssertionError) as raised:
+        exact_math.count_odd_outdegree(6)
+    assert str(raised.value) == message
+    assert main(["verify", "fine"]) == 1
+    assert capsys.readouterr().out == f"FAIL {FINE} [n=1..8]: {message}\n"
