@@ -16,6 +16,12 @@ the process's one parser, built on its first call, so repeated in-process
 calls of :func:`main` pay only for their command. :func:`main` maps a
 ``ValueError`` to exit code 2, an ``AssertionError`` to 1 and a closed
 pipe to 0.
+
+:func:`build_parser` declares each leaf command in one call of
+:func:`_add_command`: its summary, handler and flags in order, after which
+``--format`` follows. Each flag that several commands take alike is
+written once there: ``-n/--edges``, ``-k/--arity`` and ``-i/--outdegree``
+in a required and an optional form, and ``--word``.
 """
 
 from __future__ import annotations
@@ -33,9 +39,15 @@ SCHEMA = "treedegree/1"
 __all__ = ["build_parser", "main"]
 
 
-def _add_format(parser: argparse.ArgumentParser, *, csv: bool = False) -> None:
+def _add_command(sub, name: str, summary: str, func, *flags, csv: bool = False) -> None:
+    """Add the leaf command ``name`` to ``sub``: each of ``flags``, a pair of
+    add_argument names and keywords, in order, then ``--format`` and ``func``."""
+    parser = sub.add_parser(name, help=summary)
+    for names, keywords in flags:
+        parser.add_argument(*names, **keywords)
     choices = ["text", "json", "csv"] if csv else ["text", "json"]
     parser.add_argument("--format", choices=choices, default="text")
+    parser.set_defaults(func=func)
 
 
 @functools.cache
@@ -47,102 +59,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact vertex-outdegree counting and bijections for plane and k-ary trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags that several commands share, in their required and optional forms.
+    n, k, i = ("-n", "--edges"), ("-k", "--arity"), ("-i", "--outdegree")
+    edges, arity, outdegree = ((names, dict(type=int, required=True)) for names in (n, k, i))
+    edges_opt, arity_opt, outdegree_opt = ((names, dict(type=int)) for names in (n, k, i))
+    word = ("--word",), dict(required=True)
 
     count = sub.add_parser("count", help="closed-form vertex counts")
-    count_sub = count.add_subparsers(dest="family", required=True)
-    p = count_sub.add_parser("plane", help="outdegree-i vertices over n-edge plane trees")
-    p.add_argument("-n", "--edges", type=int, required=True)
-    p.add_argument("-i", "--outdegree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_count_plane)
-    p = count_sub.add_parser("kary", help="outdegree-i vertices over n-edge k-ary trees")
-    p.add_argument("-k", "--arity", type=int, required=True)
-    p.add_argument("-n", "--edges", type=int, required=True)
-    p.add_argument("-i", "--outdegree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_count_kary)
+    count = count.add_subparsers(dest="family", required=True)
+    _add_command(count, "plane", "outdegree-i vertices over n-edge plane trees",
+                 _cmd_count_plane, edges, outdegree)
+    _add_command(count, "kary", "outdegree-i vertices over n-edge k-ary trees",
+                 _cmd_count_kary, arity, edges, outdegree)
 
     enum = sub.add_parser("enumerate", help="list all trees of a given size")
-    enum_sub = enum.add_subparsers(dest="family", required=True)
-    p = enum_sub.add_parser("plane", help="all plane trees with n edges")
-    p.add_argument("-n", "--edges", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_enumerate_plane)
-    p = enum_sub.add_parser("kary", help="all k-ary trees with n edges")
-    p.add_argument("-k", "--arity", type=int, required=True)
-    p.add_argument("-n", "--edges", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_enumerate_kary)
+    enum = enum.add_subparsers(dest="family", required=True)
+    _add_command(enum, "plane", "all plane trees with n edges", _cmd_enumerate_plane, edges)
+    _add_command(enum, "kary", "all k-ary trees with n edges", _cmd_enumerate_kary, arity, edges)
 
     encode = sub.add_parser("encode", help="trees and marked trees to word/subset form")
-    encode_sub = encode.add_subparsers(dest="what", required=True)
-    p = encode_sub.add_parser("plane-pair", help="marked plane tree to cyclic word")
-    p.add_argument("--tree", required=True, help="balanced-parentheses tree text")
-    p.add_argument("--mark", type=int, required=True, help="1-based preorder index")
-    _add_format(p)
-    p.set_defaults(func=_cmd_encode_plane_pair)
-    p = encode_sub.add_parser("kary-pair", help="marked k-ary tree to 0/k word")
-    p.add_argument("--tree", required=True, help="slot-form tree text, '.' = empty")
-    p.add_argument("--mark", type=int, required=True)
-    p.add_argument("-k", "--arity", type=int, help="optional, validated against the tree")
-    _add_format(p)
-    p.set_defaults(func=_cmd_encode_kary_pair)
-    p = encode_sub.add_parser("subsets", help="0/k word to subset pair (X, Y)")
-    p.add_argument("--word", required=True, help="composition text, e.g. (3,0,0,0)")
-    p.add_argument("-k", "--arity", type=int)
-    p.add_argument("-n", "--edges", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_encode_subsets)
+    encode = encode.add_subparsers(dest="what", required=True)
+    _add_command(encode, "plane-pair", "marked plane tree to cyclic word", _cmd_encode_plane_pair,
+                 (("--tree",), dict(required=True, help="balanced-parentheses tree text")),
+                 (("--mark",), dict(type=int, required=True, help="1-based preorder index")))
+    _add_command(encode, "kary-pair", "marked k-ary tree to 0/k word", _cmd_encode_kary_pair,
+                 (("--tree",), dict(required=True, help="slot-form tree text, '.' = empty")),
+                 (("--mark",), dict(type=int, required=True)),
+                 (k, dict(type=int, help="optional, validated against the tree")))
+    _add_command(encode, "subsets", "0/k word to subset pair (X, Y)", _cmd_encode_subsets,
+                 (("--word",), dict(required=True, help="composition text, e.g. (3,0,0,0)")),
+                 arity_opt, edges_opt)
 
     decode = sub.add_parser("decode", help="word/subset form back to trees")
-    decode_sub = decode.add_subparsers(dest="what", required=True)
-    p = decode_sub.add_parser(
-        "plane",
-        help="unit word to plane tree; with --outdegree, cyclic word to marked tree",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("-i", "--outdegree", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_decode_plane)
-    p = decode_sub.add_parser("plane-pair", help="cyclic word to marked plane tree")
-    p.add_argument("--word", required=True)
-    p.add_argument("-i", "--outdegree", type=int, help="optional, validated against the word")
-    _add_format(p)
-    p.set_defaults(func=_cmd_decode_plane_pair)
-    p = decode_sub.add_parser("kary-pair", help="0/k word to marked k-ary tree")
-    p.add_argument("--word", required=True)
-    p.add_argument("-k", "--arity", type=int)
-    p.add_argument("-n", "--edges", type=int)
-    p.add_argument("-i", "--outdegree", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_decode_kary_pair)
-    p = decode_sub.add_parser("subsets", help="subset pair (X, Y) to 0/k word")
-    p.add_argument("--X", default="", help="comma-separated subset of 1..k")
-    p.add_argument("--Y", default="", help="comma-separated subset of 1..kn")
-    p.add_argument("-k", "--arity", type=int, required=True)
-    p.add_argument("-n", "--edges", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_decode_subsets)
+    decode = decode.add_subparsers(dest="what", required=True)
+    _add_command(decode, "plane",
+                 "unit word to plane tree; with --outdegree, cyclic word to marked tree",
+                 _cmd_decode_plane, word, outdegree_opt)
+    _add_command(decode, "plane-pair", "cyclic word to marked plane tree", _cmd_decode_plane_pair,
+                 word, (i, dict(type=int, help="optional, validated against the word")))
+    _add_command(decode, "kary-pair", "0/k word to marked k-ary tree", _cmd_decode_kary_pair,
+                 word, arity_opt, edges_opt, outdegree_opt)
+    _add_command(decode, "subsets", "subset pair (X, Y) to 0/k word", _cmd_decode_subsets,
+                 (("--X",), dict(default="", help="comma-separated subset of 1..k")),
+                 (("--Y",), dict(default="", help="comma-separated subset of 1..kn")),
+                 arity, edges)
 
-    verify = sub.add_parser("verify", help="formula-vs-oracle sweeps")
-    verify.add_argument("what", choices=[*CHECK_NAMES, "all"])
-    verify.add_argument(
-        "--max-edges", type=int, default=DEFAULT_MAX_EDGES,
-        help="largest edge count to sweep (lagrange runs at fixed orders)",
-    )
-    verify.add_argument(
-        "-k", "--arity", "--max-arity", dest="max_arity", type=int,
-        default=DEFAULT_MAX_ARITY, help="largest arity to sweep",
-    )
-    _add_format(verify)
-    verify.set_defaults(func=_cmd_verify)
-
-    table = sub.add_parser("table", help="count matrix (rows i, columns n)")
-    table.add_argument("-k", "--arity", type=int, help="omit for plane trees")
-    table.add_argument("--max-edges", type=int, default=8)
-    _add_format(table, csv=True)
-    table.set_defaults(func=_cmd_table)
-
+    _add_command(sub, "verify", "formula-vs-oracle sweeps", _cmd_verify,
+                 (("what",), dict(choices=[*CHECK_NAMES, "all"])),
+                 (("--max-edges",), dict(
+                     type=int, default=DEFAULT_MAX_EDGES,
+                     help="largest edge count to sweep (lagrange runs at fixed orders)")),
+                 ((*k, "--max-arity"), dict(
+                     dest="max_arity", type=int, default=DEFAULT_MAX_ARITY,
+                     help="largest arity to sweep")))
+    _add_command(sub, "table", "count matrix (rows i, columns n)", _cmd_table,
+                 (k, dict(type=int, help="omit for plane trees")),
+                 (("--max-edges",), dict(type=int, default=8)), csv=True)
     return parser
 
 

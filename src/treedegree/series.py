@@ -38,6 +38,7 @@ one coefficient of a power of B_k with its law.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -53,25 +54,23 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, init=False, slots=True)
 class TruncatedSeries:
     """Integer power series modulo z^(N+1), N fixed at construction.
 
     Arithmetic is exact and closed at one truncation order; combining
     series of different orders raises instead of silently re-truncating.
     Coefficients must be integers (a float raises TypeError). Instances
-    are immutable.
+    are immutable; equality and hashing work on ``coefficients``.
     """
 
-    __slots__ = ("coefficients",)
+    coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]):
         coeffs = tuple(index(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def order(self) -> int:
@@ -85,14 +84,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coefficients[n]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coefficients)!r})"

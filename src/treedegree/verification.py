@@ -434,27 +434,28 @@ class _Sizes(NamedTuple):
 # The one place that decides sweep bounds: each ``verify`` subcommand's
 # sizes as a function of the bounds (max_edges, max_arity), in the order of
 # ``CHECK_NAMES``.
-SIZES: dict[str, Callable[[int, int], _Sizes]] = dict(zip(CHECK_NAMES, [
-    lambda edges, arity: _Sizes(plane=edges),  # theorem1
-    lambda edges, arity: _Sizes(cells=_default_kary_cells(edges, arity)),  # theorem2
-    lambda edges, arity: _Sizes(types=edges),  # identity1
-    lambda edges, arity: _Sizes(plane=edges),  # fine
-    lambda edges, arity: _Sizes(arity=arity),  # lagrange
-    lambda edges, arity: _Sizes(  # bijections
+SIZES: dict[str, Callable[[int, int], _Sizes]] = {
+    "theorem1": lambda edges, arity: _Sizes(plane=edges),
+    "theorem2": lambda edges, arity: _Sizes(cells=_default_kary_cells(edges, arity)),
+    "identity1": lambda edges, arity: _Sizes(types=edges),
+    "fine": lambda edges, arity: _Sizes(plane=edges),
+    "lagrange": lambda edges, arity: _Sizes(arity=arity),
+    "bijections": lambda edges, arity: _Sizes(
         min(edges, BIJECTION_MAX_EDGES),
         [(k, n) for k, n in _default_kary_cells(edges, arity) if k * n <= KARY_CELL_LIMIT],
     ),
-], strict=True))
+}
 # The checks each subcommand runs at its sizes, in report order; ``all``
 # runs every entry in this order. The entries look the checks up when called.
-CHECKS: dict[str, Callable[[_Sizes], list[CheckResult]]] = dict(zip(CHECK_NAMES, [
-    lambda s: [check_plane_counts(s.plane), check_plane_sums(s.plane)],
-    lambda s: [check_kary_counts(s.cells), check_kary_sums(s.cells)],
-    lambda s: [check_sequence_identity(s.types)],
-    lambda s: [check_fine_numbers(s.plane)],
-    lambda s: check_series_identities(s.arity),
-    lambda s: check_bijections(s.plane, s.cells),
-], strict=True))
+CHECKS: dict[str, Callable[[_Sizes], list[CheckResult]]] = {
+    "theorem1": lambda s: [check_plane_counts(s.plane), check_plane_sums(s.plane)],
+    "theorem2": lambda s: [check_kary_counts(s.cells), check_kary_sums(s.cells)],
+    "identity1": lambda s: [check_sequence_identity(s.types)],
+    "fine": lambda s: [check_fine_numbers(s.plane)],
+    "lagrange": lambda s: check_series_identities(s.arity),
+    "bijections": lambda s: check_bijections(s.plane, s.cells),
+}
+assert list(SIZES) == list(CHECKS) == list(CHECK_NAMES)
 
 
 def run_checks(

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -417,27 +418,185 @@ class TestVerify:
         assert "n=2 i=0" in fail_lines[0]
 
 
-# sha256 of stdout and stderr, taken before the commands imported their
-# layers lazily. argparse lays out help and errors differently across Python
-# versions, so these are Python 3.11's, at 80 columns.
+# sha256 of each parser's --help stdout. argparse lays out help and errors
+# differently across Python versions, so these are Python 3.11's, at 80
+# columns. Those of "" and "verify" were taken before the commands imported
+# their layers lazily; the rest while each leaf parser was written out by hand.
+HELP_DIGESTS = {
+    "": "72c7e8f1da9617f89a01f7b21496c454d35a4782e0b678608b81e43574483d56",
+    "count": "cab0f314cbf8eb4c98f482bbad36f419d50d551da35e6d236b1dae5df10fcfe9",
+    "count plane": "3e57d34d9ade11d180b7468ab40e3e8b4e66724a34d1ea77be91fec72ba97f26",
+    "count kary": "b748675e9f1ce7754f2accf906f44fcf432d5ef7c83b0da2bc8c0483222ce8b9",
+    "enumerate": "5c74b0af9f24756fbd995d25a6021975a94928d1db3b78083fc20b2e2c24a93a",
+    "enumerate plane": "ca3d1bc4af455c381189e44598e015dcbcf880ca1cb28d56185800f85c12f86f",
+    "enumerate kary": "40b22c15bd0789b83deb8e3441810006ce2fa14223fa37eacf3666504585040a",
+    "encode": "588a38e730013150055aa0dd08b24512bf80abed2506f881f39a88f1d3b58c75",
+    "encode plane-pair": "819c5a9690fdffb8c1ba931500855dd81269a9eb0df7287a3def1478b2c152bf",
+    "encode kary-pair": "51facb0467d3256f52fe10274e250bfbd2f77394c7a35be29a4c712a90d6ae3d",
+    "encode subsets": "01705c47f6d911295ce0107c1e73aa7c225385171fb14161fa7a3fd3a370c8be",
+    "decode": "9512146f844f54395a9da9f501c280cad057c04ba1b9bd6a02485f080f5e8ac7",
+    "decode plane": "f95fe56e0c03a47ac28ad88f8b271f4941c2c55305512f84e840d851ad3f85b5",
+    "decode plane-pair": "3c819ce289c027880cf0b266b1b1b05266adaaefbe0dc34e569769668ace9714",
+    "decode kary-pair": "2d7278f0875f24b935c6c70b5a5b52268081b8b692dd65bc83454765c74a2a0d",
+    "decode subsets": "6007ff3cbe2bd4d6453f550c25f92dde86b552d2b1c75cc83edbd476f6aac050",
+    "verify": "7fcf21a236660d111a39738bc551e19f0f9a463f6a7c31f91435cf53c7dee872",
+    "table": "695d66495c6e9ccdb6605cd7e896597e4cc17db2f08c325672e464b69c11d295",
+}
 PARSER_PINS = pytest.mark.parametrize(
     "argv, code, out_digest, err_digest",
     [
-        (
-            ["--help"], 0,
-            "72c7e8f1da9617f89a01f7b21496c454d35a4782e0b678608b81e43574483d56", EMPTY,
-        ),
-        (
-            ["verify", "--help"], 0,
-            "7fcf21a236660d111a39738bc551e19f0f9a463f6a7c31f91435cf53c7dee872", EMPTY,
-        ),
+        *(([*path.split(), "--help"], 0, digest, EMPTY) for path, digest in HELP_DIGESTS.items()),
         (
             ["verify", "bogus"], 2,
             EMPTY, "195d5c71564ae8a289d42977d0ddf387b205e7b6117308f3957a74c16c9b24fd",
         ),
     ],
-    ids=["help", "verify-help", "verify-bogus"],
+    ids=[*("-".join([*path.split(), "help"]) for path in HELP_DIGESTS), "verify-bogus"],
 )
+# Exact usage errors at 80 columns, in Python 3.11's wording (3.13 drops the
+# quotes around the choices of an invalid-choice error). Exit code 2 and an
+# empty stdout hold on every version.
+USAGE_ERRORS = {
+    "count plane -n 5": (
+        "usage: treedegree count plane [-h] -n EDGES -i OUTDEGREE\n"
+        "                              [--format {text,json}]\n"
+        "treedegree count plane: error: the following arguments are required: -i/--outdegree\n"
+    ),
+    "enumerate tree -n 3": (
+        "usage: treedegree enumerate [-h] {plane,kary} ...\n"
+        "treedegree enumerate: error: argument family: invalid choice: 'tree'"
+        " (choose from 'plane', 'kary')\n"
+    ),
+    "count kary -k 2 -n x -i 0": (
+        "usage: treedegree count kary [-h] -k ARITY -n EDGES -i OUTDEGREE\n"
+        "                             [--format {text,json}]\n"
+        "treedegree count kary: error: argument -n/--edges: invalid int value: 'x'\n"
+    ),
+    "verify bogus": (
+        "usage: treedegree verify [-h] [--max-edges MAX_EDGES] [-k MAX_ARITY]\n"
+        "                         [--format {text,json}]\n"
+        "                         {theorem1,theorem2,identity1,fine,lagrange,bijections,all}\n"
+        "treedegree verify: error: argument what: invalid choice: 'bogus' (choose from"
+        " 'theorem1', 'theorem2', 'identity1', 'fine', 'lagrange', 'bijections', 'all')\n"
+    ),
+    "table --format xml": (
+        "usage: treedegree table [-h] [-k ARITY] [--max-edges MAX_EDGES]\n"
+        "                        [--format {text,json,csv}]\n"
+        "treedegree table: error: argument --format: invalid choice: 'xml'"
+        " (choose from 'text', 'json', 'csv')\n"
+    ),
+    "decode subsets": (
+        "usage: treedegree decode subsets [-h] [--X X] [--Y Y] -k ARITY -n EDGES\n"
+        "                                 [--format {text,json}]\n"
+        "treedegree decode subsets: error: the following arguments are required:"
+        " -k/--arity, -n/--edges\n"
+    ),
+}
+# vars(parse_args(argv)) for every leaf command, with func by name: long and
+# short flags, omitted optional ones, and the three spellings of verify's -k.
+PARSE_CORPUS = {
+    "count plane -n 5 -i 2": dict(
+        command="count", family="plane", edges=5, outdegree=2, format="text",
+        func="_cmd_count_plane",
+    ),
+    "count plane --edges 5 --outdegree 2 --format json": dict(
+        command="count", family="plane", edges=5, outdegree=2, format="json",
+        func="_cmd_count_plane",
+    ),
+    "count kary -k 3 -n 4 -i 1": dict(
+        command="count", family="kary", arity=3, edges=4, outdegree=1, format="text",
+        func="_cmd_count_kary",
+    ),
+    "count kary --arity 2 --edges 3 --outdegree 0 --format json": dict(
+        command="count", family="kary", arity=2, edges=3, outdegree=0, format="json",
+        func="_cmd_count_kary",
+    ),
+    "enumerate plane -n 3": dict(
+        command="enumerate", family="plane", edges=3, format="text", func="_cmd_enumerate_plane",
+    ),
+    "enumerate kary -k 2 -n 3 --format json": dict(
+        command="enumerate", family="kary", arity=2, edges=3, format="json",
+        func="_cmd_enumerate_kary",
+    ),
+    "enumerate kary --arity 3 --edges 2": dict(
+        command="enumerate", family="kary", arity=3, edges=2, format="text",
+        func="_cmd_enumerate_kary",
+    ),
+    "encode plane-pair --tree '(())' --mark 2": dict(
+        command="encode", what="plane-pair", tree="(())", mark=2, format="text",
+        func="_cmd_encode_plane_pair",
+    ),
+    "encode kary-pair --tree '( . . )' --mark 1": dict(
+        command="encode", what="kary-pair", tree="( . . )", mark=1, arity=None, format="text",
+        func="_cmd_encode_kary_pair",
+    ),
+    "encode kary-pair --tree . --mark 1 -k 2 --format json": dict(
+        command="encode", what="kary-pair", tree=".", mark=1, arity=2, format="json",
+        func="_cmd_encode_kary_pair",
+    ),
+    "encode subsets --word '(3,0,0,0)'": dict(
+        command="encode", what="subsets", word="(3,0,0,0)", arity=None, edges=None, format="text",
+        func="_cmd_encode_subsets",
+    ),
+    "encode subsets --word '(3,0,0,0)' -k 3 -n 1 --format json": dict(
+        command="encode", what="subsets", word="(3,0,0,0)", arity=3, edges=1, format="json",
+        func="_cmd_encode_subsets",
+    ),
+    "decode plane --word '(1,0)'": dict(
+        command="decode", what="plane", word="(1,0)", outdegree=None, format="text",
+        func="_cmd_decode_plane",
+    ),
+    "decode plane --word '(1,0)' -i 1": dict(
+        command="decode", what="plane", word="(1,0)", outdegree=1, format="text",
+        func="_cmd_decode_plane",
+    ),
+    "decode plane-pair --word '(1,0)'": dict(
+        command="decode", what="plane-pair", word="(1,0)", outdegree=None, format="text",
+        func="_cmd_decode_plane_pair",
+    ),
+    "decode plane-pair --word '(1,0)' --outdegree 1 --format json": dict(
+        command="decode", what="plane-pair", word="(1,0)", outdegree=1, format="json",
+        func="_cmd_decode_plane_pair",
+    ),
+    "decode kary-pair --word '(3,0,0,0)'": dict(
+        command="decode", what="kary-pair", word="(3,0,0,0)", arity=None, edges=None,
+        outdegree=None, format="text", func="_cmd_decode_kary_pair",
+    ),
+    "decode kary-pair --word '(3,0,0,0)' -k 3 -n 1 -i 0": dict(
+        command="decode", what="kary-pair", word="(3,0,0,0)", arity=3, edges=1, outdegree=0,
+        format="text", func="_cmd_decode_kary_pair",
+    ),
+    "decode subsets -k 2 -n 1": dict(
+        command="decode", what="subsets", X="", Y="", arity=2, edges=1, format="text",
+        func="_cmd_decode_subsets",
+    ),
+    "decode subsets --X 1 --Y 1,2 --arity 2 --edges 1 --format json": dict(
+        command="decode", what="subsets", X="1", Y="1,2", arity=2, edges=1, format="json",
+        func="_cmd_decode_subsets",
+    ),
+    "verify all": dict(
+        command="verify", what="all", max_edges=8, max_arity=3, format="text", func="_cmd_verify",
+    ),
+    "verify theorem1 --max-edges 4 -k 4": dict(
+        command="verify", what="theorem1", max_edges=4, max_arity=4, format="text",
+        func="_cmd_verify",
+    ),
+    "verify lagrange --arity 5": dict(
+        command="verify", what="lagrange", max_edges=8, max_arity=5, format="text",
+        func="_cmd_verify",
+    ),
+    "verify fine --max-arity 2 --format json": dict(
+        command="verify", what="fine", max_edges=8, max_arity=2, format="json",
+        func="_cmd_verify",
+    ),
+    "table": dict(command="table", arity=None, max_edges=8, format="text", func="_cmd_table"),
+    "table -k 3 --max-edges 5 --format csv": dict(
+        command="table", arity=3, max_edges=5, format="csv", func="_cmd_table",
+    ),
+    "table --arity 2 --format json": dict(
+        command="table", arity=2, max_edges=8, format="json", func="_cmd_table",
+    ),
+}
 PINNED_PYTHON = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11"
 )
@@ -468,6 +627,19 @@ class TestParser:
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    @pytest.mark.parametrize("argv, err", USAGE_ERRORS.items(), ids=list(USAGE_ERRORS))
+    def test_usage_errors_are_exact(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, got = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        if sys.version_info[:2] == (3, 11):
+            assert got == err
+
+    @pytest.mark.parametrize("argv, expected", PARSE_CORPUS.items(), ids=list(PARSE_CORPUS))
+    def test_parse_args_corpus(self, argv, expected):
+        got = vars(build_parser().parse_args(shlex.split(argv)))
+        assert {**got, "func": got["func"].__name__} == expected
 
     def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
         calls = [
@@ -587,6 +759,14 @@ class TestWordNative:
             (
                 ["enumerate", "plane", "-n", "12", "--format", "json"],
                 "43d9f236b83af195903cb2c60fd8f9984672919c1caf78dec8fae082c7dd5c9f",
+            ),
+            (
+                ["enumerate", "kary", "-k", "3", "-n", "6"],
+                "84635eff96e3482bc7a717e40bef72bb28dd6e934720e6df480fa268bfc94796",
+            ),
+            (
+                ["enumerate", "kary", "-k", "3", "-n", "6", "--format", "json"],
+                "9c556ae6586e212d637e08d15d1670f0d36500f427728f580b0cc381fafa8760",
             ),
         ],
     )
