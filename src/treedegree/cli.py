@@ -161,10 +161,9 @@ def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
-    from .kary_trees import enumerate_kary_trees, format_kary_tree
-    trees = [format_kary_tree(t) for t in enumerate_kary_trees(args.arity, args.edges)]
+    from .kary_trees import _kary_texts
     fields = {"family": "kary", "k": str(args.arity), "n": str(args.edges)}
-    return _emit_trees(args, fields, trees)
+    return _emit_trees(args, fields, _kary_texts(args.arity, args.edges))
 
 
 def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:

@@ -32,9 +32,9 @@ one self-check: the rebuilt word is a unit composition. The verification
 sweeps call the cores and compare words; the encoded word's i against the
 marked vertex's filled slots, counted on the tree, is one of those checks.
 
-Exhaustive enumeration (:func:`enumerate_kary_trees`) is the brute-force
-oracle for the closed-form counts: the family's one histogram totals the
-filled slots of every enumerated tree in a single pass.
+Exhaustive enumeration is the oracle for the closed-form counts: one table
+builder joins each tree's slots into its word (:func:`enumerate_kary_trees`),
+its slot text or its filled-slot counts, which the family's histogram totals.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_GUARD, check_guard
 from .compositions import Composition, _block_end, enumerate_compositions
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False)
 class KaryTree:
     """k-ary tree, held as its arity and the outdegree word of its completion.
 
@@ -87,6 +87,7 @@ class KaryTree:
     work on (arity, word).
     """
 
+    __slots__ = ("arity", "word")  # by hand: slots=True breaks frozen setattr
     arity: int
     word: Composition
 
@@ -102,6 +103,9 @@ class KaryTree:
         word = (arity, *chain.from_iterable((0,) if sub is None else sub.word for sub in slots))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "word", word)
+
+    def __reduce__(self):
+        return _kary_tree, (self.arity, self.word)
 
     @property
     def vertex_count(self) -> int:
@@ -348,16 +352,21 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
     recursively within each filled slot. Guarded on k*max(n, 1): even the
     one tree with no edges is a word of k + 1 entries.
     """
+    words = _kary_table(k, n, (0,), lambda slots: (k, *chain.from_iterable(slots)))
+    yield from map(partial(_kary_tree, k), words)
+
+
+def _kary_table(k: int, n: int, empty: object, join: Callable[[tuple], object]) -> list:
+    # enumerate_kary_trees(k, n), guarded at the call, each tree as ``join`` of its
+    # k slots: ``empty`` or the entry of its subtree, from tables[b] at b edges.
     if k < 1:
         raise ValueError("arity must be at least 1")
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     check_guard(KARY_GUARD, k * max(n, 1))
-    # words[b] lists the words of all trees with b edges, in order; a
-    # tree's subtrees have fewer edges, so their lists are already there.
-    words: list[list[Composition]] = [[(k,) + (0,) * k]]
+    tables = [[join((empty,) * k)]]
     for budget in range(1, n + 1):
-        result: list[Composition] = []
+        result: list = []
         # At most ``budget`` slots can be filled: only those slot sets, in
         # ascending bitmask order.
         slot_sets = (
@@ -365,22 +374,22 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
         )
         for filled in sorted(slot_sets, key=lambda filled: sum(1 << j for j in filled)):
             for parts in enumerate_compositions(budget - len(filled), len(filled)):
-                for combo in product(*(words[b] for b in parts)):
-                    slots: list[Composition] = [(0,)] * k
-                    for slot_index, sub in zip(filled, combo):
-                        slots[slot_index] = sub
-                    result.append((k, *chain.from_iterable(slots)))
-        words.append(result)
-    for word in words[n]:
-        yield _kary_tree(k, word)
+                sizes = dict(zip(filled, parts))  # an empty slot's one choice is ``empty``
+                columns = (tables[sizes[j]] if j in sizes else (empty,) for j in range(k))
+                result += map(join, product(*columns))
+        tables.append(result)
+    return tables[n]
+
+
+def _kary_texts(k: int, n: int) -> list[str]:
+    # format_kary_tree of every tree of enumerate_kary_trees(k, n), in order.
+    return _kary_table(k, n, ".", lambda slots: "( " + " ".join(slots) + " )")
 
 
 def _kary_histogram(k: int, n: int) -> tuple[int, Counter[int]]:
-    # The tree count and outdegree totals of enumerate_kary_trees(k, n),
-    # guarded the same way but at the call. The count is of the trees
-    # enumerated, not derived from the totals.
-    trees = list(enumerate_kary_trees(k, n))
-    return len(trees), Counter(chain.from_iterable(map(kary_preorder_outdegrees, trees)))
+    # The tree count and outdegree totals of enumerate_kary_trees(k, n), tree by tree.
+    counts = _kary_table(k, n, (), lambda slots: (k - slots.count(()), *chain.from_iterable(slots)))
+    return len(counts), Counter(chain.from_iterable(counts))
 
 
 @dataclass(frozen=True)

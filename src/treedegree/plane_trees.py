@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False)
 class PlaneTree:
     """Immutable plane tree, held as its preorder outdegree word.
 
@@ -62,12 +62,16 @@ class PlaneTree:
     equality, hashing and repr work on ``word``.
     """
 
+    __slots__ = ("word",)  # by hand: slots=True breaks frozen setattr
     word: Composition
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
         children = tuple(children)
         word = (len(children), *chain.from_iterable(c.word for c in children))
         object.__setattr__(self, "word", word)
+
+    def __reduce__(self):
+        return _plane_tree, (self.word,)
 
     @property
     def vertex_count(self) -> int:

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
     """Integer power series modulo z^(N+1), N fixed at construction.
 
@@ -64,6 +64,7 @@ class TruncatedSeries:
     are immutable; equality and hashing work on ``coefficients``.
     """
 
+    __slots__ = ("coefficients",)  # by hand: slots=True breaks frozen setattr
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]):
@@ -71,6 +72,9 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.coefficients,)
 
     @property
     def order(self) -> int:

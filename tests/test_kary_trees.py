@@ -30,6 +30,7 @@ from treedegree import (
     kary_leaf,
     kary_pair_to_composition,
     kary_preorder_outdegrees,
+    kary_trees,
     parse_kary_tree,
     parse_marked_kary_tree,
     phi,
@@ -38,7 +39,7 @@ from treedegree import (
     uncomplete,
 )
 from treedegree._limits import GuardError
-from treedegree.kary_trees import _kary_histogram, _kary_word_structure
+from treedegree.kary_trees import _kary_histogram, _kary_texts, _kary_word_structure
 from golden import (
     BINARY_TABLE,
     SAMPLE_CYCLIC_WORD,
@@ -311,21 +312,45 @@ class TestEnumeration:
         assert len(set(trees)) == len(trees) == 42
 
     def test_guard(self, monkeypatch):
-        # The enumerator refuses on first use, the histogram when called.
+        # The enumerator refuses on first use, the texts and the histogram
+        # when called.
+        trees = enumerate_kary_trees(5, 5)
         with pytest.raises(ValueError, match="guard"):
-            next(enumerate_kary_trees(5, 5))
-        with pytest.raises(GuardError, match=r"k-ary tree enumeration .*\(25 > 24\)"):
-            _kary_histogram(25, 1)
-        with pytest.raises(ValueError, match="arity must be at least 1"):
-            _kary_histogram(0, 1)
-        with pytest.raises(ValueError, match="edge count must be nonnegative"):
-            _kary_histogram(2, -1)
+            next(trees)
+        for build in (_kary_texts, _kary_histogram):
+            with pytest.raises(GuardError, match=r"k-ary tree enumeration .*\(25 > 24\)"):
+                build(25, 1)
+            with pytest.raises(ValueError, match="arity must be at least 1"):
+                build(0, 1)
+            with pytest.raises(ValueError, match="edge count must be nonnegative"):
+                build(2, -1)
         monkeypatch.setenv("TREEDEGREE_GUARD", "4")
         with pytest.raises(ValueError, match="guard"):
             next(enumerate_kary_trees(5, 1))
-        with pytest.raises(GuardError, match=r"\(5 > 4\)"):
-            _kary_histogram(5, 1)
+        for build in (_kary_texts, _kary_histogram):
+            with pytest.raises(GuardError, match=r"\(5 > 4\)"):
+                build(5, 1)
         assert sum(1 for _ in enumerate_kary_trees(2, 2)) == 5
+
+    def test_the_table_views_agree_tree_by_tree(self, monkeypatch):
+        # Each caller's table, recorded under its empty slot, against the
+        # per-tree functions over the enumerated trees.
+        tables = {}
+        build = kary_trees._kary_table
+
+        def recording(k, n, empty, join):
+            tables[empty] = build(k, n, empty, join)
+            return tables[empty]
+
+        monkeypatch.setattr(kary_trees, "_kary_table", recording)
+        for k, n in [*SMALL_CELLS, (1, 6), (24, 1), (5, 0)]:
+            trees = list(enumerate_kary_trees(k, n))
+            _kary_texts(k, n)
+            _kary_histogram(k, n)
+            assert tables[(0,)] == [t.word for t in trees], (k, n)
+            assert tables["."] == [format_kary_tree(t) for t in trees], (k, n)
+            assert tables[()] == [kary_preorder_outdegrees(t) for t in trees], (k, n)
+            assert [parse_kary_tree(text).word for text in tables["."]] == tables[(0,)]
 
     def test_the_guard_charges_no_edges_as_one(self):
         # The one 0-edge tree is still a word of k + 1 entries, so it costs k.

@@ -1,9 +1,12 @@
+import copy
 import importlib
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,27 @@ def test_every_export_has_a_caller_outside_the_tests():
             and not any(re.search(rf"\b{name}\b", text) for text in others)
         ]
     assert not uncalled, f"exports with no caller outside the tests: {uncalled}"
+
+
+FROZEN = {
+    "PlaneTree": lambda: treedegree.PlaneTree([treedegree.PlaneTree()]),
+    "KaryTree": lambda: treedegree.KaryTree(2, [None, treedegree.kary_leaf(2)]),
+    "TruncatedSeries": lambda: treedegree.TruncatedSeries([1, 2, 5]),
+}
+
+
+@pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
+def test_the_value_classes_are_frozen_and_round_trip(make):
+    value = make()
+    # A field and a name that is no field both refuse, as do their deletions.
+    for name in (*value.__slots__, "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(value, protocol))
+        assert copied == value and type(copied) is type(value) and hash(copied) == hash(value)
+    for copied in (copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and type(copied) is type(value)
