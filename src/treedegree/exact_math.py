@@ -6,8 +6,8 @@ the vanishing convention C(n, m) = 0 for m < 0, n < 0 or m > n; the finite
 sums below rely on that convention to terminate.
 
 Divisions only appear inside identities that are exact over the integers;
-each one is performed by :func:`exact_div`, which raises instead of
-rounding, so an algebra mistake fails loudly rather than silently.
+each raises instead of rounding (:func:`exact_div`, or the same divmod done
+in line by :func:`count_odd_outdegree`), so an algebra mistake fails loudly.
 """
 
 from __future__ import annotations
@@ -155,34 +155,38 @@ def count_odd_outdegree(n: int) -> int:
     Computed as the odd column of :func:`count_plane_outdegree`, walked
     from the largest odd i <= n down to i = 1, so from the smallest term,
     C(n-1, n-1) or C(n, n-1), up. Each step i -> i - 2 is the exact ratio
-    (2n-i+1)(2n-i) / ((n-i+2)(n-i+1)), done by :func:`exact_div`, the two
-    small factors multiplied before they meet the big term. The Fine relation
-    3 * odd(n) = 2*C(2n-1, n) + F_{n-1} is checked by ``verify fine``.
+    (2n-i+1)(2n-i) / ((n-i+2)(n-i+1)), the two small factors multiplied
+    before they meet the big term, by one divmod in line that raises on a
+    remainder as :func:`exact_div` does. The Fine relation 3 * odd(n) =
+    2*C(2n-1, n) + F_{n-1} is checked by ``verify fine``.
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
     top = n if n % 2 else n - 1
     total = term = count_plane_outdegree(n, top)
     for i in range(top, 1, -2):
-        term = exact_div(
-            term * ((2 * n - i + 1) * (2 * n - i)),
-            (n - i + 2) * (n - i + 1),
-            "odd-column ratio step",
-        )
+        num = term * ((2 * n - i + 1) * (2 * n - i))
+        den = (n - i + 2) * (n - i + 1)
+        term, remainder = divmod(num, den)
+        if remainder:
+            raise AssertionError(f"odd-column ratio step: {num} is not divisible by {den}")
         total += term
     return total
 
 
-def _outdegree_type_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    # All (r_0, ..., r_n) with sum r_j = n + 1 and sum j*r_j = n, n >= 1.
-    # An odometer runs r_n, ..., r_2 (r_2 fastest) through every choice of
-    # weight sum_{j>=2} j*r_j <= n; r_1 takes the rest of the weight and
-    # r_0 the rest of the count, >= 1 because sum_{j>=1} r_j <= n.
+def _outdegree_type_vectors(n: int, i: int) -> Iterator[tuple[int, ...]]:
+    # The (r_0, ..., r_n) with sum r_j = n + 1, sum j*r_j = n and r_i >= 1, for
+    # n >= 1 and 0 <= i <= n. With one outdegree-i vertex set aside, an odometer
+    # runs r_n, ..., r_2 (r_2 fastest) of the other n vertices through every
+    # weight sum_{j>=2} j*r_j <= n - i; r_1 takes the rest of the weight and r_0
+    # the rest of the count. Each yield adds the set-aside vertex back to r_i.
     vec = [0] * (n + 1)
-    rest, used = n, 0
+    rest, used = n - i, 0
     while True:
-        vec[0], vec[1] = n + 1 - used - rest, rest
+        vec[0], vec[1] = n - used - rest, rest
+        vec[i] += 1
         yield tuple(vec)
+        vec[i] -= 1
         j = 2
         while j <= n and rest < j:
             rest += j * vec[j]
@@ -198,19 +202,20 @@ def _outdegree_type_vectors(n: int) -> Iterator[tuple[int, ...]]:
 
 def outdegree_type_sum(n: int, i: int) -> int:
     """Sum of r_i * multinomial(n+1; r_0, ..., r_n) / (n+1), each division
-    exact and asserted, over all outdegree type vectors of n-edge plane
-    trees: the left side of the outdegree-type identity (``verify identity1``).
+    exact and asserted, over the outdegree type vectors of n-edge plane trees:
+    the left side of the outdegree-type identity (``verify identity1``). It
+    walks only the p(n - i) vectors with r_i >= 1, and is 0 once i > n.
     """
     if n < 1:
         raise ValueError("edge count must be at least 1")
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
     check_guard(SEQUENCE_GUARD, n)
+    if i > n:
+        return 0
     total = 0
-    for vec in _outdegree_type_vectors(n):
-        r_i = vec[i] if i <= n else 0
-        if r_i:
-            total += exact_div(r_i * _multinomial(vec), n + 1, "outdegree-type term")
+    for vec in _outdegree_type_vectors(n, i):
+        total += exact_div(vec[i] * _multinomial(vec), n + 1, "outdegree-type term")
     return total
 
 

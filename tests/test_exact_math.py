@@ -269,20 +269,54 @@ class TestOutdegreeSequenceIdentity:
     def test_guard(self, monkeypatch):
         with pytest.raises(ValueError, match="guard"):
             verify_outdegree_sequence_identity(31, 0)
+        with pytest.raises(ValueError, match="guard"):
+            exact_math.outdegree_type_sum(31, 40)
         monkeypatch.setenv("TREEDEGREE_GUARD", "2")
         with pytest.raises(ValueError, match="guard"):
             verify_outdegree_sequence_identity(3, 0)
 
     def test_type_vectors_keep_the_recursive_order(self):
+        # r_0 >= 1 always holds, so i = 0 yields every vector.
         for n in range(1, 15):
-            assert list(exact_math._outdegree_type_vectors(n)) == recursive_type_vectors(n)
+            every = recursive_type_vectors(n)
+            for i in range(n + 1):
+                expected = [vec for vec in every if vec[i]]
+                assert list(exact_math._outdegree_type_vectors(n, i)) == expected
 
     def test_one_type_vector_per_partition(self):
+        # Setting one outdegree-i vertex aside leaves a partition of n - i.
         p = partition_counts(30)
         for n in range(1, 31):
-            vectors = list(exact_math._outdegree_type_vectors(n))
-            assert len(vectors) == p[n]
-            assert len(set(vectors)) == p[n]
-            for vec in vectors:
-                assert sum(vec) == n + 1
-                assert sum(j * r for j, r in enumerate(vec)) == n
+            for i in range(n + 1):
+                vectors = list(exact_math._outdegree_type_vectors(n, i))
+                assert len(vectors) == len(set(vectors)) == p[n - i]
+                for vec in vectors:
+                    assert vec[i] >= 1
+                    assert sum(vec) == n + 1
+                    assert sum(j * r for j, r in enumerate(vec)) == n
+
+    def test_one_multinomial_per_vector_with_r_i(self, monkeypatch):
+        # Counts the work: a sum that walked all p(n) vectors again would
+        # see more vectors, or call _multinomial more often, than the p(n - i)
+        # terms that count.
+        p = partition_counts(30)
+        walked, multinomials = [], []
+        vectors, multinomial = exact_math._outdegree_type_vectors, exact_math._multinomial
+
+        def counted_vectors(*args):
+            for vec in vectors(*args):
+                walked.append(vec)
+                yield vec
+
+        def counted_multinomial(parts):
+            multinomials.append(parts)
+            return multinomial(parts)
+
+        monkeypatch.setattr(exact_math, "_outdegree_type_vectors", counted_vectors)
+        monkeypatch.setattr(exact_math, "_multinomial", counted_multinomial)
+        for n in (18, 30):
+            for i in range(n + 2):
+                walked.clear()
+                multinomials.clear()
+                assert exact_math.outdegree_type_sum(n, i) == count_plane_outdegree(n, i)
+                assert len(walked) == len(multinomials) == (p[n - i] if i <= n else 0)

@@ -457,7 +457,7 @@ def _first_kary_entry_twice(honest):
 
 
 def _drop_last_vector(honest):
-    return lambda n: list(honest(n))[:-1]
+    return lambda n, i: list(honest(n, i))[:-1]
 
 
 def _shift_one_more(honest):
