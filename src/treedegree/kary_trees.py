@@ -23,12 +23,13 @@ a marked vertex of outdegree i there are C(k, i) choices of X and
 C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
-core on plain words and ints: a completion word and its mark, the
-*leaders* (the starts of the word's first k unit blocks, found by the
-block walk of :mod:`treedegree.compositions`), and (X, Y) as ascending
-tuples. The encoder is the plane rotation of the completion at the mark's
-image, and the decoder is the plane decode at outdegree k, which keeps its
-one self-check: the rebuilt word is a unit composition. The verification
+core on plain words and ints: a completion word and its mark, a marked-pair
+word and k, and (X, Y) as ascending tuples. The subset core finds the
+word's block leaders itself, by the block walk of
+:mod:`treedegree.compositions`, and the outdegree i a word encodes is |X|.
+The encoder is the plane rotation of the completion at the mark's image,
+and the decoder is the plane decode at outdegree k, which keeps its one
+self-check: the rebuilt word is a unit composition. The verification
 sweeps call the cores and compare words; the encoded word's i against the
 marked vertex's filled slots, counted on the tree, is one of those checks.
 
@@ -44,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_GUARD, check_guard
 from .compositions import Composition, _block_end, enumerate_compositions
@@ -180,13 +181,11 @@ def uncomplete(p: PlaneTree, k: int) -> KaryTree:
 
 def _kary_word_structure(
     word: Composition, arity: int | None, edges: int | None = None
-) -> tuple[int, int, int, list[int]]:
+) -> tuple[int, int]:
     # The one structure check of every marked-word entry. Shape (reported
     # as "entry shape"): entries are 0 or a single value k (matching
     # ``arity`` when given), the length is k(n+1) and exactly n entries
-    # equal k; then n must match ``edges`` when given. Returns (k, n, i)
-    # and the leaders, where i counts how many of the first k unit blocks
-    # (by the cycle lemma, there are at least k) begin with k.
+    # equal k; then n must match ``edges`` when given. Returns (k, n).
     if not word:
         raise ValueError("entry shape: word is empty")
     if min(word) < 0:
@@ -217,16 +216,7 @@ def _kary_word_structure(
         )
     if edges is not None and edges != n:
         raise ValueError(f"word encodes n={n}, expected {edges}")
-    leaders = _block_leaders(word, k)
-    return k, n, sum(1 for lead in leaders if word[lead]), leaders
-
-
-def _block_leaders(word: Composition, k: int) -> list[int]:
-    # The starts of the word's first k >= 1 unit blocks.
-    leaders = [0]
-    for _ in range(k - 1):
-        leaders.append(_block_end(word, leaders[-1]))
-    return leaders
+    return k, n
 
 
 def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
@@ -257,11 +247,11 @@ def composition_to_kary_pair(
     through the preorder index map.
     """
     word = tuple(word)
-    structure = _kary_word_structure(word, k, n)
-    if i is not None and i != structure[2]:
-        raise ValueError(f"word encodes outdegree i={structure[2]}, expected {i}")
-    word, mark = _composition_to_kary_pair(word, structure[0])
-    return MarkedKaryTree(_kary_tree(structure[0], word), mark)
+    k, _ = _kary_word_structure(word, k, n)
+    if i is not None and i != (encoded := len(_phi(word, k)[0])):
+        raise ValueError(f"word encodes outdegree i={encoded}, expected {i}")
+    word, mark = _composition_to_kary_pair(word, k)
+    return MarkedKaryTree(_kary_tree(k, word), mark)
 
 
 def _composition_to_kary_pair(word: Composition, k: int) -> tuple[Composition, int]:
@@ -284,14 +274,19 @@ def phi(
     entries remaining in beta. Validates the word, then runs the core.
     """
     word = tuple(word)
-    k, n, _, leaders = _kary_word_structure(word, arity, edges)
-    x, y = _phi(word, leaders)
+    k, n = _kary_word_structure(word, arity, edges)
+    x, y = _phi(word, k)
     return SubsetPair(k, n, frozenset(x), frozenset(y))
 
 
-def _phi(word: Composition, leaders: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (X, Y) as ascending tuples; beta is the word without its leaders,
-    # deleted last first so that the earlier positions stay put.
+def _phi(word: Composition, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (X, Y) as ascending tuples. The leaders start the word's first k unit
+    # blocks (the cycle lemma gives at least k), each after the first at
+    # the end of a block walk; beta is the word without them, deleted last
+    # first so that the earlier positions stay put.
+    leaders = [0]
+    for _ in range(k - 1):
+        leaders.append(_block_end(word, leaders[-1]))
     beta = list(word)
     for start in reversed(leaders):
         del beta[start]
@@ -321,12 +316,12 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
         raise ValueError(
             f"|X| + |Y| must equal n={n}, got {len(pair.X)} + {len(pair.Y)}"
         )
-    return _phi_inverse(k, n, pair.X, pair.Y)
+    return _phi_inverse(k, pair.X, pair.Y)
 
 
-def _phi_inverse(k: int, n: int, x: Iterable[int], y: Iterable[int]) -> Composition:
-    # The word of a valid (X, Y); the order of X and Y does not matter.
-    beta = [0] * (k * n)
+def _phi_inverse(k: int, x: Collection[int], y: Collection[int]) -> Composition:
+    # The word of a valid (X, Y), with n = |X| + |Y|, in any order.
+    beta = [0] * (k * (len(x) + len(y)))
     for j in y:
         beta[j - 1] = k
     leaders = [0] * k
@@ -432,21 +427,19 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
     The arity is inferred from the groups and must be consistent
     throughout (and match ``arity`` when given).
     """
-    vertices: list[bool] = []  # completion in preorder: True for a group, False for '.'
+    tokens = "".join(text.split())
     entries: list[int] = []  # slots read so far, per open group
     roots = 0
     k = arity
-    for ch in "".join(text.split()):
+    for ch in tokens:
         if ch == "(":
             if entries:
                 entries[-1] += 1
-            vertices.append(True)
             entries.append(0)
         elif ch == ".":
             if not entries:
                 raise ValueError("'.' outside any group")
             entries[-1] += 1
-            vertices.append(False)
         elif ch == ")":
             if not entries:
                 raise ValueError(f"unbalanced ')' in {text!r}")
@@ -467,7 +460,9 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
         raise ValueError(f"unbalanced '(' in {text!r}")
     if not roots:
         raise ValueError("empty k-ary tree text")
-    return _kary_tree(k, tuple(k if group else 0 for group in vertices))
+    # Without its ')'s, the text is the completion in preorder: '(' for a
+    # vertex of the tree, '.' for an empty slot.
+    return _kary_tree(k, tuple(k if ch == "(" else 0 for ch in tokens.replace(")", "")))
 
 
 def format_marked_kary_tree(m: MarkedKaryTree) -> str:

@@ -24,7 +24,6 @@ from ._limits import (
 from .compositions import Composition
 from .exact_math import binomial, catalan, count_kary_outdegree, count_plane_outdegree
 from .kary_trees import (
-    _block_leaders,
     _composition_to_kary_pair,
     _kary_histogram,
     _phi,
@@ -167,16 +166,20 @@ def check_kary_counts(cells: Sequence[tuple[int, int]]) -> CheckResult:
 
 def check_kary_sums(cells: Sequence[tuple[int, int]]) -> CheckResult:
     def failures() -> Iterator[str]:
+        tops = dict(sorted(cells))  # the largest n of each arity
+        series: dict[int, TruncatedSeries] = {}  # one B_k per arity, to its top n
         for k, n in cells:
-            series = kary_series(k, n)
+            if k not in series:
+                series[k] = kary_series(k, tops[k])
+            b = series[k][n]
             row = sum(count_kary_outdegree(n, k, i) for i in range(k + 1))
             edge = sum(i * count_kary_outdegree(n, k, i) for i in range(k + 1))
             if row != binomial(k * n + k, n):
                 yield f"k={k} n={n}: row sum {row} != C(kn+k,n)={binomial(k * n + k, n)}"
-            if row != (n + 1) * series[n]:
-                yield f"k={k} n={n}: row sum {row} != (n+1)*b_k(n)={(n + 1) * series[n]}"
-            if edge != n * series[n]:
-                yield f"k={k} n={n}: edge sum {edge} != n*b_k(n)={n * series[n]}"
+            if row != (n + 1) * b:
+                yield f"k={k} n={n}: row sum {row} != (n+1)*b_k(n)={(n + 1) * b}"
+            if edge != n * b:
+                yield f"k={k} n={n}: edge sum {edge} != n*b_k(n)={n * b}"
 
     return _check("k-ary row and edge sums", _cells_scope(cells), failures())
 
@@ -392,9 +395,9 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
                 try:
                     word = _bar_delta_encode(tree_word, position)
                     decoded = _composition_to_kary_pair(word, k)
-                    x, y = _phi(word, _block_leaders(word, k))
+                    x, y = _phi(word, k)
                     images.add((x, y))
-                    rebuilt = _phi_inverse(k, n, x, y)
+                    rebuilt = _phi_inverse(k, x, y)
                 except (AssertionError, ValueError) as exc:
                     yield SUBSETS, str(exc)
                     continue
@@ -415,10 +418,8 @@ def _kary_bijections(cells: list[tuple[int, int]]) -> Iterator[tuple[str, str]]:
 
 
 def _cells_scope(cells: Sequence[tuple[int, int]]) -> str:
-    by_arity: dict[int, int] = {}
-    for k, n in cells:
-        by_arity[k] = max(n, by_arity.get(k, 0))
-    return ", ".join(f"k={k}: n<={top}" for k, top in sorted(by_arity.items()))
+    # dict(sorted(cells)) keeps the largest n of each arity, by ascending k.
+    return ", ".join(f"k={k}: n<={top}" for k, top in dict(sorted(cells)).items())
 
 
 class _Sizes(NamedTuple):

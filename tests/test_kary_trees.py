@@ -3,7 +3,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -152,9 +152,11 @@ class TestWordCodec:
         assert composition_to_kary_pair(SAMPLE_TERNARY_ALPHA, 3, 8, 2) == marked
 
     def test_word_parameters(self):
-        assert _kary_word_structure(SAMPLE_TERNARY_ALPHA, None)[:3] == (3, 8, 2)
-        assert _kary_word_structure((0, 0), None)[:3] == (2, 0, 0)
-        assert _kary_word_structure((0,), 1)[:3] == (1, 0, 0)
+        # (k, n) from the shape check, and i as |X|.
+        cases = [(SAMPLE_TERNARY_ALPHA, None, 3, 8, 2), ((0, 0), None, 2, 0, 0), ((0,), 1, 1, 0, 0)]
+        for word, arity, k, n, i in cases:
+            assert _kary_word_structure(word, arity) == (k, n)
+            assert len(phi(word, arity).X) == i
 
     def test_word_parameter_errors_are_distinct(self):
         with pytest.raises(ValueError, match="entry shape"):
@@ -170,9 +172,9 @@ class TestWordCodec:
         # Cycle lemma: f of a shape-valid word is -k, each unit block adds
         # -1 and the positive tail f(tail) >= 0, so there are exactly
         # k + f(tail) >= k unit blocks and the codec needs no block check
-        # after the shape checks pass. The leaders are the starts of the
-        # first k of them. phi's core reads X from those blocks' first
-        # entries and Y from what is left once they are deleted.
+        # after the shape checks pass. phi's core finds the starts of the
+        # first k of them, reads X from those blocks' first entries and Y
+        # from what is left once they are deleted.
         import treedegree.kary_trees as kary_trees
 
         words = 0
@@ -183,15 +185,13 @@ class TestWordCodec:
                     word = [0] * length
                     for place in places:
                         word[place] = k
-                    assert kary_trees._kary_word_structure(tuple(word), k)[:2] == (k, n)
+                    assert kary_trees._kary_word_structure(tuple(word), k) == (k, n)
                     units, tail = fundamental_decomposition(tuple(word))
                     assert len(units) == k + f_statistic(tail)
-                    starts = list(accumulate(map(len, units[: k - 1]), initial=0))
-                    assert kary_trees._kary_word_structure(tuple(word), k)[3] == starts
                     x = tuple(j for j, unit in enumerate(units[:k], 1) if unit[0])
                     beta = chain(*(unit[1:] for unit in units[:k]), *units[k:], tail)
                     y = tuple(j for j, part in enumerate(beta, 1) if part)
-                    assert kary_trees._phi(tuple(word), starts) == (x, y)
+                    assert kary_trees._phi(tuple(word), k) == (x, y)
                     words += 1
         assert words == 6435
 
@@ -230,9 +230,8 @@ class TestSubsetCodec:
     def test_no_leading_k_blocks(self):
         # All first-k blocks start with 0: X is empty and every k sits in Y.
         word = phi_inverse(SubsetPair(2, 2, frozenset(), frozenset({1, 3})))
-        k, n, i = _kary_word_structure(word, None)[:3]
-        assert (k, n, i) == (2, 2, 0)
-        assert phi(word).X == frozenset()
+        assert _kary_word_structure(word, None) == (2, 2)
+        assert phi(word).X == frozenset()  # i = |X| = 0
 
     def test_empty_pair(self):
         for k in (1, 2, 3, 5):
@@ -462,7 +461,8 @@ def test_word_is_the_representation():
 
 def test_phi_makes_k_minus_1_block_walks(monkeypatch):
     # The first leader starts the word; each of the other k - 1 is the end
-    # of one block walk, and the core reuses them.
+    # of one block walk in the core, and the shape check walks no block.
+    # The word decode runs the core only to check a given i against |X|.
     import treedegree.kary_trees as kary_trees
 
     calls = []
@@ -475,6 +475,11 @@ def test_phi_makes_k_minus_1_block_walks(monkeypatch):
     monkeypatch.setattr(kary_trees, "_block_end", counting)
     pair = phi(SAMPLE_TERNARY_ALPHA)
     assert (pair.X, pair.Y) == (SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)
+    assert len(calls) == 3 - 1
+    calls.clear()
+    composition_to_kary_pair(SAMPLE_TERNARY_ALPHA, 3, 8)
+    assert calls == []
+    composition_to_kary_pair(SAMPLE_TERNARY_ALPHA, 3, 8, 2)
     assert len(calls) == 3 - 1
 
 
@@ -556,14 +561,15 @@ def test_word_cores_round_trip_past_enumeration():
         i = rng.randint(0, min(k, n))
         x = tuple(sorted(rng.sample(range(1, k + 1), i)))
         y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
-        word = kary_trees._phi_inverse(k, n, x, y)
-        assert kary_trees._kary_word_structure(word, k)[:3] == (k, n, i)
+        word = kary_trees._phi_inverse(k, x, y)
+        assert kary_trees._kary_word_structure(word, k) == (k, n)
+        assert len(phi(word).X) == i
         tree_word, mark = kary_trees._composition_to_kary_pair(word, k)
         tree = kary_trees._kary_tree(k, tree_word)
         assert kary_preorder_outdegrees(tree)[mark - 1] == i
         encoded = kary_trees._bar_delta_encode(tree_word, complete(tree)[1][mark - 1])
         assert encoded == word
-        assert kary_trees._phi(encoded, kary_trees._block_leaders(encoded, k)) == (x, y)
+        assert kary_trees._phi(encoded, k) == (x, y)
 
 
 def _word_entries(*args):

@@ -1,7 +1,8 @@
 """The verification runner and the bijection checks: one enumeration pass
 per family and size feeds all six bijection checks, each still fails under
 a fault in what it checks, and a failure inside a sweep is a FAIL line.
-A fault table shows that each of the 18 ``verify all`` lines can FAIL."""
+A fault table shows that each of the 18 ``verify all`` lines can FAIL, and
+pins the exact counterexample each fault gives."""
 
 import tracemalloc
 from collections import Counter
@@ -112,16 +113,16 @@ def _leaf_for_all(honest):
 
 
 def _mirror_y(honest):
-    def compress(word, leaders):
-        x, y = honest(word, leaders)
-        top = len(word) - len(leaders)  # kn, the length of beta
+    def compress(word, k):
+        x, y = honest(word, k)
+        top = len(word) - k  # kn, the length of beta
         return x, tuple(sorted(top + 1 - j for j in y))
 
     return compress
 
 
 def _reverse_word(honest):
-    return lambda k, n, x, y: honest(k, n, x, y)[::-1]
+    return lambda k, x, y: honest(k, x, y)[::-1]
 
 
 def _off_subset_count(honest):
@@ -481,36 +482,144 @@ def _off_third_coefficient(honest):
 
 
 # One fault per seam, run through every ``verify all`` line at ALL_BOUNDS,
-# with the exact set of lines it fails; together they fail every line.
+# with the exact FAIL detail of each line it fails (its counterexample);
+# together they fail every line.
 ALL_FAULTS = [
-    (verification, "_plane_words", _first_tree_twice, {COVER}),
-    (plane_trees, "_suffix_totals", _extra_unary_vertex, {PLANE_COUNTS, FINE}),
-    (verification, "catalan", _off_at((3,)), {PLANE_COUNTS, PLANE_SUMS}),
+    (
+        verification,
+        "_plane_words",
+        _first_tree_twice,
+        {COVER: "n=1 i=0: 2 marked pairs, formula 1"},
+    ),
+    (
+        plane_trees,
+        "_suffix_totals",
+        _extra_unary_vertex,
+        {
+            PLANE_COUNTS: "n=1 i=1: enumeration 2 != formula 1",
+            FINE: "n=1: enumeration 2 != formula 1",
+        },
+    ),
+    (
+        verification,
+        "catalan",
+        _off_at((3,)),
+        {
+            PLANE_COUNTS: "n=3: enumerated 5 trees, expected 6",
+            PLANE_SUMS: "n=3: row sum 20 != (n+1)*c_n=24",
+        },
+    ),
     # The bijection pass reads the table too, but it checks each tree on its
     # own and counts distinct subset pairs, so only the counts line fails.
-    (kary_trees, "_kary_table", _first_kary_entry_twice, {KARY_COUNTS}),
+    (
+        kary_trees,
+        "_kary_table",
+        _first_kary_entry_twice,
+        {KARY_COUNTS: "k=1 n=1: enumerated 2 trees, expected 1"},
+    ),
     (
         verification,
         "count_kary_outdegree",
         _off_at((2, 2, 1)),
-        {KARY_COUNTS, KARY_SUMS, KARY_DERIVATIVE},
+        {
+            KARY_COUNTS: "k=2 n=2 i=1: enumeration 8 != formula 9",
+            KARY_SUMS: "k=2 n=2: row sum 16 != C(kn+k,n)=15",
+            KARY_DERIVATIVE: "k=2 i=1 n=2: series 8 != formula 9",
+        },
     ),
-    (exact_math, "_outdegree_type_vectors", _drop_last_vector, {IDENTITY}),
-    (exact_math, "count_plane_outdegree", _off_at((2, 1)), {FINE}),
-    (exact_math, "fine_number", _off_at((3,)), {FINE}),
-    (TruncatedSeries, "shift", _shift_one_more, {RESIDUALS}),
-    (exact_math, "catalan_power_coeff", _off_at((3, 2)), {CATALAN_POWERS}),
-    (exact_math, "kary_power_coeff", _off_at((2, 2, 1)), {KARY_POWERS}),
+    (
+        exact_math,
+        "_outdegree_type_vectors",
+        _drop_last_vector,
+        {IDENTITY: "n=1 i=0: type-vector sum 0 != formula 1"},
+    ),
+    (
+        exact_math,
+        "count_plane_outdegree",
+        _off_at((2, 1)),
+        {FINE: "n=2: 3*3 != 2*C(2n-1,n) + F(n-1) = 6"},
+    ),
+    (
+        exact_math,
+        "fine_number",
+        _off_at((3,)),
+        {FINE: "n=4: 3*24 != 2*C(2n-1,n) + F(n-1) = 73"},
+    ),
+    (TruncatedSeries, "shift", _shift_one_more, {RESIDUALS: "C - 1 - z*C^2 does not vanish"}),
+    (
+        exact_math,
+        "catalan_power_coeff",
+        _off_at((3, 2)),
+        {CATALAN_POWERS: "n=3 l=2: series 14 != closed form 15"},
+    ),
+    (
+        exact_math,
+        "kary_power_coeff",
+        _off_at((2, 2, 1)),
+        {KARY_POWERS: "k=2 n=2 l=1: series 5 != closed form 6"},
+    ),
     # C(4, 2) = 10 makes the naive law 10/2 match [z^2] B_2 = 5.
-    (verification, "binomial", _set_at((4, 2), 10), {PLANE_SUMS, NAIVE, CARDINALITY}),
-    (series, "catalan_series", _off_third_coefficient, {PLANE_DERIVATIVE}),
-    (series, "kary_series", _off_third_coefficient, {KARY_DERIVATIVE}),
-    (series, "_inverse", _off_third_term, {PLANE_DERIVATIVE, KARY_DERIVATIVE}),
-    (verification, "delta_decode", _path_for_large, {WORD_TRIP}),
-    (verification, "_bar_delta_decode", _shift_mark, {MARKED_TRIP}),
-    (verification, "uncomplete", _leaf_for_all, {COMPLETION}),
-    (verification, "_phi", _mirror_y, {SUBSETS}),
-    (verification, "binomial", _off_subset_count, {CARDINALITY}),
+    (
+        verification,
+        "binomial",
+        _set_at((4, 2), 10),
+        {
+            PLANE_SUMS: "n=2: row sum 6 != C(2n,n)=10",
+            NAIVE: "naive law unexpectedly matches the series coefficient",
+            CARDINALITY: "k=2 n=2 i=0: 6 pairs, subset count 10",
+        },
+    ),
+    (
+        series,
+        "catalan_series",
+        _off_third_coefficient,
+        {PLANE_DERIVATIVE: "i=0 n=3: series 11 != formula 10"},
+    ),
+    (
+        series,
+        "kary_series",
+        _off_third_coefficient,
+        {KARY_DERIVATIVE: "k=1 i=0 n=4: series 2 != formula 1"},
+    ),
+    (
+        series,
+        "_inverse",
+        _off_third_term,
+        {
+            PLANE_DERIVATIVE: "i=0 n=3: series 11 != formula 10",
+            KARY_DERIVATIVE: "k=1 i=0 n=3: series 2 != formula 1",
+        },
+    ),
+    (
+        verification,
+        "delta_decode",
+        _path_for_large,
+        {WORD_TRIP: "decode(encode) changed a tree at n=3"},
+    ),
+    (
+        verification,
+        "_bar_delta_decode",
+        _shift_mark,
+        {MARKED_TRIP: "round trip failed at n=1, mark=1"},
+    ),
+    (
+        verification,
+        "uncomplete",
+        _leaf_for_all,
+        {COMPLETION: "k=1 n=1: uncomplete(complete) changed a tree"},
+    ),
+    (
+        verification,
+        "_phi",
+        _mirror_y,
+        {SUBSETS: "k=1 n=2 mark=1: subset round trip mismatch"},
+    ),
+    (
+        verification,
+        "binomial",
+        _off_subset_count,
+        {CARDINALITY: "k=3 n=1 i=0: 3 pairs, subset count 4"},
+    ),
 ]
 ALL_FAULT_IDS = [
     f"{getattr(owner, '__name__', '').rsplit('.', 1)[-1]}.{attr}-{fault.__name__}"
@@ -528,8 +637,7 @@ def test_each_verify_line_fails_under_its_fault(monkeypatch, owner, attr, fault,
     monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     results = verification.run_checks("all", *ALL_BOUNDS)
     assert [r.name for r in results] == ALL_NAMES
-    assert {r.name for r in results if not r.passed} == failing
-    assert all(r.detail for r in results if not r.passed)
+    assert {r.name: r.detail for r in results if not r.passed} == failing
 
 
 def test_a_wrong_inverse_term_names_its_cell(monkeypatch):
@@ -553,6 +661,17 @@ def test_each_row_sum_condition_names_itself(monkeypatch):
     monkeypatch.setattr(verification, "kary_series", off_b)
     detail = verification.check_kary_sums([(2, 3)]).detail
     assert detail == "k=2 n=3: row sum 56 != (n+1)*b_k(n)=60"
+
+
+def test_kary_sums_build_one_series_per_arity(monkeypatch):
+    # One B_k per arity, to that arity's top n, built when the sweep reaches it.
+    calls = []
+    honest = verification.kary_series
+    counting = lambda k, n: calls.append((k, n)) or honest(k, n)  # noqa: E731
+    monkeypatch.setattr(verification, "kary_series", counting)
+    cells = verification.SIZES["theorem2"](8, 3).cells
+    assert verification.check_kary_sums(cells).passed
+    assert calls == [(1, 8), (2, 6), (3, 4)]
 
 
 def test_fine_catches_a_wrong_odd_column_start(monkeypatch):
