@@ -34,8 +34,8 @@ __all__ = [
 
 def as_composition(parts: Iterable[int]) -> Composition:
     """Normalize to a tuple, rejecting negative and non-integer parts."""
-    c = tuple(index(p) for p in parts)
-    if any(p < 0 for p in c):
+    c = tuple(map(index, parts))
+    if c and min(c) < 0:
         raise ValueError("composition parts must be nonnegative")
     return c
 

@@ -427,6 +427,8 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
     The arity is inferred from the groups and must be consistent
     throughout (and match ``arity`` when given).
     """
+    if arity is not None and arity < 1:
+        raise ValueError("arity must be at least 1")
     tokens = "".join(text.split())
     entries: list[int] = []  # slots read so far, per open group
     roots = 0
@@ -446,10 +448,10 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
             count = entries.pop()
             if k is None:
                 k = count
+                if k < 1:
+                    raise ValueError("arity must be at least 1")
             elif count != k:
                 raise ValueError(f"group with {count} slots in arity-{k} tree")
-            if k < 1:
-                raise ValueError("arity must be at least 1")
             if not entries:
                 roots += 1
                 if roots > 1:

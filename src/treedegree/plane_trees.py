@@ -15,15 +15,15 @@ Their private cores take and return plain words and marks, and the public
 functions wrap those in :class:`MarkedPlaneTree`.
 
 Exhaustive enumeration (:func:`enumerate_plane_trees`) doubles as the
-brute-force oracle for the closed-form counts. One prefix walker runs an
-odometer over each word's leading parts only, folding a state over each
-prefix; the words join every prefix to a cached table of the suffixes
-that finish it, and the text format of every tree (``enumerate plane``)
-joins each prefix's text to a cached tuple of formatted suffixes, keyed by
-the prefix's pending-children stack. The family's one counting oracle, a
-private histogram of tree count and outdegree totals, joins no words: it
-groups the prefixes by f-height and counts each group's parts once per
-suffix in its table, and each table's parts once per prefix in the group.
+brute-force oracle for the closed-form counts. One lexicographic walk,
+with no recursion, folds a state over each word's head and builds the
+cached tables of the suffixes that finish a head. The words join each head
+to its suffix table, and the text of every tree (``enumerate plane``)
+joins each head's text to a cached tuple of formatted suffixes, keyed by
+its pending-children stack. The one counting oracle, a private histogram
+of tree count and outdegree totals, joins no words: it groups the heads by
+f-height and counts each group's parts once per suffix in its table, and
+each table's parts once per head in the group.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from operator import index
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from ._limits import PLANE_GUARD, check_guard
@@ -123,7 +124,7 @@ def degree_histogram(t: PlaneTree) -> dict[int, int]:
     return dict(counts)
 
 
-# Trailing parts of each word taken from a suffix table, not the odometer.
+# Trailing parts of each word taken from a suffix table, not the walk.
 # The formatted tables, one per pending stack, grow fast with it.
 _BLOCK = 6
 # The same for the histogram, which caches only each table's size and
@@ -131,63 +132,61 @@ _BLOCK = 6
 _HISTOGRAM_BLOCK = 8
 
 
-@cache
-def _suffixes(height: int, parts: int) -> tuple[Composition, ...]:
-    # Every way to finish a unit word from prefix f-height ``height`` (its
-    # sum minus its length) with ``parts`` parts left, in lexicographic
-    # order: each part but the last keeps the f-height nonnegative, and the
-    # last brings it to -1. Brute recursion on the first part.
-    if parts == 1:
-        return ((0,),) if height == 0 else ()
-    return tuple(
-        (first, *rest)
-        for first in range(max(0, 1 - height), parts - height)
-        for rest in _suffixes(height + first - 1, parts - 1)
-    )
+def _parts(height: int, left: int) -> range:
+    # The parts that can come next at f-height ``height`` (sum minus length)
+    # with ``left`` parts to come: all but the last keep it nonnegative and
+    # within reach of -1 for the parts left, and the last brings it to -1.
+    return range(0 if left == 1 else max(0, 1 - height), left - height)
 
 
 _State = TypeVar("_State")
 
 
+def _walk(
+    start: _State, height: int, left: int, parts: int, step: Callable[[_State, int], _State]
+) -> Iterator[tuple[_State, int]]:
+    # Each way on from f-height ``height`` with ``left`` parts to come, up to
+    # where ``parts`` are left, in lexicographic order: the state ``step``
+    # folds from ``start`` over the parts taken, and the f-height they reach.
+    # The levels are lazy generators on a list; the last, which yields the
+    # most, is a plain loop.
+    levels: list[Iterator[tuple[_State, int]]] = [iter(((start, height),))]
+    while levels:
+        to_go = left + 1 - len(levels)  # parts to come at each node of levels[-1]
+        for state, height in levels[-1]:
+            if to_go > parts + 1:
+                levels.append(_children(state, height, to_go, step))
+                break
+            if to_go == parts:
+                yield state, height
+            else:
+                for part in _parts(height, to_go):
+                    yield step(state, part), height + part - 1
+        else:
+            levels.pop()
+
+
+def _children(
+    state: _State, height: int, left: int, step: Callable[[_State, int], _State]
+) -> Iterator[tuple[_State, int]]:
+    # One level of _walk: the state and f-height one part on, per part.
+    for part in _parts(height, left):
+        yield step(state, part), height + part - 1
+
+
+@cache
+def _suffixes(height: int, parts: int) -> tuple[Composition, ...]:
+    # Every way to finish a unit word from f-height ``height`` with
+    # ``parts`` parts left, in lexicographic order.
+    return tuple(suffix for suffix, _ in _walk((), height, parts, 0, _extend))
+
+
 def _prefixes(
     n: int, parts: int, start: _State, step: Callable[[_State, int], _State]
 ) -> Iterator[tuple[_State, int]]:
-    # The odometer under every plane enumeration: for each head prefix of
-    # the unit (n+1)-part compositions of n, in lexicographic order, the
-    # state ``step`` folds from ``start`` over its parts, and its f-height
-    # (sum minus length). The head is the first n + 1 - ``parts``
-    # positions; with parts = n + 1 there is one, empty, prefix. Position p
-    # with running sum totals[p] takes parts from max(0, p + 1 - totals[p]),
-    # which keeps the prefix f-value nonnegative, while the sum stays
-    # within n, so the prefix ends at f-height 0..parts - 1. The odometer
-    # turns the positions before the last, refolding only the states after
-    # a changed one; the last position is a plain loop over its range.
-    head = n + 1 - parts
-    if head <= 0:
-        yield start, 0
-        return
-    last = head - 1
-    word = [0] * last
-    totals = [0] * head  # totals[p] = sum(word[:p])
-    states = [start] * head  # states[p] = step folded over word[:p]
-    pos = 0
-    while True:
-        for p in range(pos, last):
-            word[p] = max(0, p + 1 - totals[p])
-            totals[p + 1] = totals[p] + word[p]
-            states[p + 1] = step(states[p], word[p])
-        total, state = totals[last], states[last]
-        for part in range(max(0, head - total), n + 1 - total):
-            yield step(state, part), total + part - head
-        pos = last - 1
-        while pos >= 0 and totals[pos + 1] == n:
-            pos -= 1
-        if pos < 0:
-            return
-        word[pos] += 1
-        totals[pos + 1] += 1
-        states[pos + 1] = step(states[pos], word[pos])
-        pos += 1
+    # _walk over the heads of the unit (n+1)-part compositions of n, all but
+    # their last ``parts`` parts; with parts = n + 1 there is one, empty, head.
+    return _walk(start, 0, n + 1, parts, step)
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
@@ -202,8 +201,7 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneTree]:
 def _plane_words(n: int) -> Iterator[Composition]:
     # The words of enumerate_plane_trees, guarded the same way but at the
     # call: the unit (n+1)-part compositions of n in lexicographic order,
-    # each head prefix joined, in C, to every suffix in the table for its
-    # f-height.
+    # each head joined, in C, to every suffix in the table for its f-height.
     parts = _guarded_parts(n, _BLOCK)
     return chain.from_iterable(
         map(prefix.__add__, _suffixes(height, parts))
@@ -212,7 +210,7 @@ def _plane_words(n: int) -> Iterator[Composition]:
 
 
 def _extend(prefix: Composition, part: int) -> Composition:
-    # The word walker's fold: the prefix one part longer.
+    # The word walk's fold: the prefix one part longer.
     return prefix + (part,)
 
 
@@ -239,9 +237,8 @@ def _plane_histogram(n: int) -> tuple[int, Counter[int]]:
 @cache
 def _suffix_totals(height: int, parts: int) -> tuple[int, Counter[int]]:
     # The size of the suffix table _suffixes(height, parts) and its outdegree
-    # totals. The table is enumerated afresh and dropped: only its parts - 1
-    # subtables stay cached.
-    table = _suffixes.__wrapped__(height, parts)
+    # totals. The table is walked afresh and dropped, and caches nothing.
+    table = [suffix for suffix, _ in _walk((), height, parts, 0, _extend)]
     return len(table), Counter(chain.from_iterable(table))
 
 
@@ -292,7 +289,7 @@ def bar_delta_decode(word: Composition, i: int) -> MarkedPlaneTree:
     tree, and the mark sits at preorder index len(p) + 1. The empty word
     (n = 0, so i = 0) is the single vertex, marked at 1.
     """
-    word = tuple(word)
+    word, i = as_composition(word), index(i)
     n = len(word)
     if i < 0 or sum(word) != n - i:
         raise ValueError(

@@ -319,9 +319,18 @@ class TestEncodeDecode:
             ["decode", "kary-pair", "--word", "(2,0,0,0)", "-n", "2"],
             "word encodes n=1, expected 2",
         ),
+        (
+            ["encode", "kary-pair", "--tree", "(.)", "--mark", "1", "-k", "0"],
+            "arity must be at least 1",
+        ),
+        (
+            ["encode", "kary-pair", "--tree", "(.)", "--mark", "1", "-k", "-1"],
+            "arity must be at least 1",
+        ),
     ],
     ids=["word-sum", "X-not-integers", "Y-repeated", "table-edges", "table-arity",
-         "encode-subsets-n", "decode-kary-pair-n"],
+         "encode-subsets-n", "decode-kary-pair-n", "encode-kary-pair-arity-0",
+         "encode-kary-pair-arity-negative"],
 )
 def test_validation_messages_exit_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

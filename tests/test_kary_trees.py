@@ -590,9 +590,13 @@ def _word_entries(*args):
         ),
         ([lambda: parse_kary_tree(")")], "unbalanced ')' in ')'"),
         ([lambda: parse_kary_tree("()")], "arity must be at least 1"),
+        (
+            [lambda: parse_kary_tree("(.)", 0), lambda: parse_kary_tree("(.)", -1)],
+            "arity must be at least 1",
+        ),
     ],
     ids=["empty-word", "negative-entry", "arity-0", "uncomplete-arity-0", "subset-pair-k-0",
-         "unbalanced-close", "empty-group"],
+         "unbalanced-close", "empty-group", "parse-arity-below-1"],
 )
 def test_entry_point_messages(calls, message):
     for call in calls:

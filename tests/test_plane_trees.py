@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain, islice, product
 from math import comb
 
 import pytest
@@ -149,20 +149,50 @@ def _odometer_words(n):
 class TestBlockEnumeration:
     def test_same_words_as_the_odometer(self):
         # n <= _BLOCK - 1 comes straight from a table; n = _BLOCK is the first
-        # size with an odometer prefix, of one position.
+        # size with a walked head, of one part.
         assert plane_module._BLOCK - 1 < 12
         for n in range(0, 13):
             assert list(plane_module._plane_words(n)) == list(_odometer_words(n)), n
 
-    def test_suffix_tables_sorted_without_repeats(self):
-        for parts in range(1, plane_module._BLOCK + 1):
-            for height in range(plane_module._BLOCK):
-                table = plane_module._suffixes(height, parts)
-                assert list(table) == sorted(set(table))
-                assert all(len(suffix) == parts for suffix in table)
+    def test_prefixes_are_the_distinct_heads(self):
+        # Each head the walk stops at, with its f-height, once and in order,
+        # for every suffix length down to 1 and up to the empty head.
+        for n in range(0, 13):
+            heads = list(_odometer_words(n))
+            for parts in range(1, n + 2):
+                # The distinct heads one part shorter than the last ones.
+                heads = list(dict.fromkeys(head[: n + 1 - parts] for head in heads))
+                expected = [(head, sum(head) - len(head)) for head in heads]
+                walked = plane_module._prefixes(n, parts, (), plane_module._extend)
+                assert list(walked) == expected, (n, parts)
+
+    def test_suffix_tables_by_brute_force(self):
+        # A p-tuple finishes a unit word from f-height h when h + its f is -1
+        # and h + the f of each proper prefix is nonnegative; so its sum,
+        # p - 1 - h, is below p. product() is in lexicographic order, so each
+        # table is also sorted and without repeats, for p up to past _BLOCK.
+        assert plane_module._BLOCK < 7
+        for parts in range(1, 8):
+            tables = {}
+            for suffix in product(range(parts), repeat=parts):
+                height = parts - 1 - sum(suffix)
+                heights = accumulate((part - 1 for part in suffix[:-1]), initial=height)
+                if height >= 0 and min(heights) >= 0:
+                    tables.setdefault(height, []).append(suffix)
+            for height in range(parts + 1):
+                assert list(plane_module._suffixes(height, parts)) == tables.get(height, [])
+
+    def test_walk_runs_deep_without_recursion(self, monkeypatch):
+        # The walk keeps one lazy level per head part on a list, so a head of
+        # about 2000 parts raises no RecursionError.
+        monkeypatch.setenv("TREEDEGREE_GUARD", "2000")
+        words = list(islice(plane_module._plane_words(2000), 3))
+        assert words == list(islice(_odometer_words(2000), 3))
+        text = next(plane_module._plane_texts(2000))
+        assert text == format_plane_tree(delta_decode(words[0]))
 
     def test_texts_match_the_formatter(self):
-        # Table-only sizes, n = _BLOCK - 1 and _BLOCK, and the odometer above.
+        # Table-only sizes, n = _BLOCK - 1 and _BLOCK, and walked heads above.
         assert plane_module._BLOCK < 11
         for n in range(0, 12):
             texts = list(plane_module._plane_texts(n))
@@ -186,7 +216,7 @@ class TestBlockEnumeration:
 
     def test_histogram_counts_the_words(self):
         # Table-only sizes, n = _HISTOGRAM_BLOCK - 1 and _HISTOGRAM_BLOCK, and
-        # the odometer above; from n = 1 the totals are the closed form.
+        # walked heads above; from n = 1 the totals are the closed form.
         assert plane_module._HISTOGRAM_BLOCK < 12
         for n in range(0, 13):
             words = list(plane_module._plane_words(n))
@@ -234,6 +264,12 @@ class TestMarkedWords:
             bar_delta_decode((1, 1), 1)  # sum 2 != 2 - 1
         with pytest.raises(ValueError):
             bar_delta_decode((0, 0), -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bar_delta_decode((3, -1), 0)  # sum 2 = 2 - 0, but a negative part
+        with pytest.raises(TypeError):
+            bar_delta_decode((1.5, 0.5), 0)  # sum 2 = 2 - 0, but not integers
+        with pytest.raises(TypeError):
+            bar_delta_decode((0,), 1.0)
 
     def test_encode_validates_mark(self):
         with pytest.raises(ValueError):
