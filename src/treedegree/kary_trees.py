@@ -24,9 +24,9 @@ C(kn, n - i) choices of Y.
 
 Each of the four codec functions validates its input, then runs a private
 core on plain words and ints: a completion word and its mark, a marked-pair
-word and k, and (X, Y) as ascending tuples. The subset core finds the
-word's block leaders itself, by the block walk of
-:mod:`treedegree.compositions`, and the outdegree i a word encodes is |X|.
+word and k, and (X, Y) as ascending tuples. The subset core reads X and Y
+in one block walk (:mod:`treedegree.compositions`) over the word's first
+k unit blocks, and the outdegree i a word encodes is |X|.
 The encoder is the plane rotation of the completion at the mark's image,
 and the decoder is the plane decode at outdegree k, which keeps its one
 self-check: the rebuilt word is a unit composition. The verification
@@ -45,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, product
+from operator import index
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from ._limits import KARY_GUARD, check_guard
@@ -94,7 +95,7 @@ class KaryTree:
 
     def __init__(self, arity: int, slots: Iterable[Optional["KaryTree"]]):
         slots = tuple(slots)
-        if arity < 1:
+        if (arity := index(arity)) < 1:
             raise ValueError("arity must be at least 1")
         if len(slots) != arity:
             raise ValueError(f"expected {arity} slots, got {len(slots)}")
@@ -168,7 +169,7 @@ def uncomplete(p: PlaneTree, k: int) -> KaryTree:
     Rejects trees that are not completions, i.e. the single vertex or any
     tree with an internal vertex of outdegree other than k.
     """
-    if k < 1:
+    if (k := index(k)) < 1:
         raise ValueError("arity must be at least 1")
     word = p.word
     if not word[0]:
@@ -196,11 +197,11 @@ def _kary_word_structure(
             f"entry shape: entries must be 0 or the arity, found {sorted(values)}"
         )
     if values:
-        (k,) = values
+        (k,) = map(index, values)
         if arity is not None and arity != k:
             raise ValueError(f"entry shape: word uses {k}, expected arity {arity}")
     else:
-        k = arity if arity is not None else len(word)
+        k = index(arity) if arity is not None else len(word)
     if k < 1:
         raise ValueError("entry shape: arity must be at least 1")
     if len(word) % k:
@@ -280,18 +281,18 @@ def phi(
 
 
 def _phi(word: Composition, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (X, Y) as ascending tuples. The leaders start the word's first k unit
-    # blocks (the cycle lemma gives at least k), each after the first at
-    # the end of a block walk; beta is the word without them, deleted last
-    # first so that the earlier positions stay put.
-    leaders = [0]
-    for _ in range(k - 1):
-        leaders.append(_block_end(word, leaders[-1]))
-    beta = list(word)
-    for start in reversed(leaders):
-        del beta[start]
-    x = compress(count(1), map(word.__getitem__, leaders))
-    return tuple(x), tuple(compress(count(1), beta))
+    # (X, Y) as ascending tuples, from one walk over the word's first k unit
+    # blocks (the cycle lemma gives at least k), the k-th taken to the end.
+    # X takes j when block j's leader is k. Beta, the word without leaders,
+    # has the rest of block j at 1-based start + 2 - j .. end - j: Y reads it.
+    x, y, start = [], [], 0
+    for j in range(1, k + 1):
+        end = _block_end(word, start) if j < k else len(word)
+        if word[start]:
+            x.append(j)
+        y += compress(range(start + 2 - j, end + 1 - j), word[start + 1 : end])
+        start = end
+    return tuple(x), tuple(y)
 
 
 def phi_inverse(pair: "SubsetPair") -> Composition:
@@ -427,7 +428,7 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
     The arity is inferred from the groups and must be consistent
     throughout (and match ``arity`` when given).
     """
-    if arity is not None and arity < 1:
+    if arity is not None and (arity := index(arity)) < 1:
         raise ValueError("arity must be at least 1")
     tokens = "".join(text.split())
     entries: list[int] = []  # slots read so far, per open group

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact_math
@@ -134,8 +135,8 @@ def check_plane_counts(max_edges: int) -> CheckResult:
 def check_plane_sums(max_edges: int) -> CheckResult:
     def failures() -> Iterator[str]:
         for n in range(1, max_edges + 1):
-            row = sum(count_plane_outdegree(n, i) for i in range(n + 1))
-            edge = sum(i * count_plane_outdegree(n, i) for i in range(n + 1))
+            column = [count_plane_outdegree(n, i) for i in range(n + 1)]
+            row, edge = sum(column), sum(map(mul, range(n + 1), column))
             cat = catalan(n)
             if row != binomial(2 * n, n):
                 yield f"n={n}: row sum {row} != C(2n,n)={binomial(2 * n, n)}"
@@ -172,8 +173,8 @@ def check_kary_sums(cells: Sequence[tuple[int, int]]) -> CheckResult:
             if k not in series:
                 series[k] = kary_series(k, tops[k])
             b = series[k][n]
-            row = sum(count_kary_outdegree(n, k, i) for i in range(k + 1))
-            edge = sum(i * count_kary_outdegree(n, k, i) for i in range(k + 1))
+            column = [count_kary_outdegree(n, k, i) for i in range(k + 1)]
+            row, edge = sum(column), sum(map(mul, range(k + 1), column))
             if row != binomial(k * n + k, n):
                 yield f"k={k} n={n}: row sum {row} != C(kn+k,n)={binomial(k * n + k, n)}"
             if row != (n + 1) * b:
@@ -274,16 +275,13 @@ def _check_kary_powers(max_arity: int, max_n: int, max_l: int) -> CheckResult:
 def _check_naive_power_law_counterexample() -> CheckResult:
     # The naive law [z^n] B_k^l = l/n * C(kn, n) must FAIL at (2, 2, 1):
     # compare cross-multiplied to avoid inexact division. A pass shows both.
-    series_value: list[int] = []
-
     def failures() -> Iterator[str]:
-        series_value.append((kary_series(2, 2) ** 1)[2])
-        if 2 * series_value[0] == 1 * binomial(4, 2):
+        if 2 * (kary_series(2, 2) ** 1)[2] == 1 * binomial(4, 2):
             yield "naive law unexpectedly matches the series coefficient"
 
     result = _check("naive k-ary power law rejected", "k=2, n=2, l=1", failures())
     if result.passed:
-        result.detail = f"series {series_value[0]} != naive {binomial(4, 2)}/2"
+        result.detail = f"series {(kary_series(2, 2) ** 1)[2]} != naive {binomial(4, 2)}/2"
     return result
 
 
@@ -443,7 +441,7 @@ SIZES: dict[str, Callable[[int, int], _Sizes]] = {
     "lagrange": lambda edges, arity: _Sizes(arity=arity),
     "bijections": lambda edges, arity: _Sizes(
         min(edges, BIJECTION_MAX_EDGES),
-        [(k, n) for k, n in _default_kary_cells(edges, arity) if k * n <= KARY_CELL_LIMIT],
+        _default_kary_cells(edges, min(arity, KARY_CELL_LIMIT)),
     ),
 }
 # The checks each subcommand runs at its sizes, in report order; ``all``

@@ -172,9 +172,9 @@ class TestWordCodec:
         # Cycle lemma: f of a shape-valid word is -k, each unit block adds
         # -1 and the positive tail f(tail) >= 0, so there are exactly
         # k + f(tail) >= k unit blocks and the codec needs no block check
-        # after the shape checks pass. phi's core finds the starts of the
-        # first k of them, reads X from those blocks' first entries and Y
-        # from what is left once they are deleted.
+        # after the shape checks pass. phi's core walks the first k of them
+        # once, reads X from those blocks' first entries and Y from the rest
+        # of each block, at its position in the word without those entries.
         import treedegree.kary_trees as kary_trees
 
         words = 0
@@ -552,12 +552,13 @@ def test_public_codec_returns_what_its_core_returns(monkeypatch, module, core, r
 def test_word_cores_round_trip_past_enumeration():
     # Seeded subset pairs far past the enumeration guard, through the word
     # cores: phi inverse, decode, the tree's i at the decoded mark, the
-    # plane encode at the mark's image in the completion, phi. The last two
-    # words have kn near 10^5.
+    # plane encode at the mark's image in the completion, phi. Two words
+    # have kn near 10^5, and the last three have k from 50 to 10^4.
     import treedegree.kary_trees as kary_trees
 
     rng = random.Random(20150129)
-    for k, n in (*product(range(1, 5), range(61)), (2, 50_000), (3, 33_333)):
+    large = ((2, 50_000), (3, 33_333), (50, 40), (400, 5), (10**4, 1))
+    for k, n in (*product(range(1, 5), range(61)), *large):
         i = rng.randint(0, min(k, n))
         x = tuple(sorted(rng.sample(range(1, k + 1), i)))
         y = tuple(sorted(rng.sample(range(1, k * n + 1), n - i)))
@@ -570,6 +571,10 @@ def test_word_cores_round_trip_past_enumeration():
         encoded = kary_trees._bar_delta_encode(tree_word, complete(tree)[1][mark - 1])
         assert encoded == word
         assert kary_trees._phi(encoded, k) == (x, y)
+    # Every leader at the front of the word, at k = 10^5: the subset core
+    # walks the blocks once, linear in the word.
+    k = 10**5
+    assert phi((0,) * (2 * k - 1) + (k,)) == SubsetPair(k, 1, frozenset(), frozenset({k}))
 
 
 def _word_entries(*args):
@@ -603,3 +608,27 @@ def test_entry_point_messages(calls, message):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_kary_tree("(..)", 2.0),
+        lambda: parse_marked_kary_tree("(..)@1", 2.0),
+        lambda: KaryTree(2.0, [None, None]),
+        lambda: uncomplete(PlaneTree([PlaneTree(), PlaneTree()]), 2.0),
+        lambda: composition_to_kary_pair((2.0, 0, 0, 0)),
+        lambda: composition_to_kary_pair((0, 0), 2.0),
+    ],
+    ids=["parse", "parse-marked", "constructor", "uncomplete", "word-arity", "given-arity"],
+)
+def test_arity_must_be_an_integer(call):
+    # A float arity equal to an int would build a tree whose arity and word
+    # hold floats; each entry normalizes the arity with operator.index.
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_a_bool_arity_becomes_an_int():
+    arity = composition_to_kary_pair((True, 0)).tree.arity
+    assert arity == 1 and type(arity) is int
