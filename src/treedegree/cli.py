@@ -13,9 +13,11 @@ A call imports only the layer its command runs: each command imports the
 library functions it calls, so ``count`` loads ``exact_math`` and nothing
 that enumerates, sweeps or expands series. :func:`build_parser` returns
 the process's one parser, built on its first call, so repeated in-process
-calls of :func:`main` pay only for their command. :func:`main` maps a
-``ValueError`` to exit code 2, an ``AssertionError`` to 1 and a closed
-pipe to 0.
+calls of :func:`main` pay only for their command. Each ``_cmd_*`` handler
+only computes, and returns ``(fields, lines)``: the JSON body after
+``schema`` and ``kind`` (the subcommand), and the text lines. :func:`main`
+prints the one document and maps ``ok: false`` to exit code 1, a
+``ValueError`` to 2, an ``AssertionError`` to 1 and a closed pipe to 0.
 
 :func:`build_parser` declares each leaf command in one call of
 :func:`_add_command`: its summary, handler and flags in order, after which
@@ -118,86 +120,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, kind: str, fields: dict, text: str) -> None:
-    """Print ``text``, or with ``--format json`` one document: schema, kind, fields."""
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "kind": kind, **fields}
-        print(json.dumps(doc, separators=(",", ":")))
-    else:
-        print(text)
-
-
-def _cmd_count_plane(args: argparse.Namespace) -> int:
+def _cmd_count_plane(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .exact_math import count_plane_outdegree
     value = str(count_plane_outdegree(args.edges, args.outdegree))
     fields = {"family": "plane", "n": str(args.edges), "i": str(args.outdegree), "count": value}
-    _emit(args, "count", fields, value)
-    return 0
+    return fields, [value]
 
 
-def _cmd_count_kary(args: argparse.Namespace) -> int:
+def _cmd_count_kary(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .exact_math import count_kary_outdegree
     value = str(count_kary_outdegree(args.edges, args.arity, args.outdegree))
     fields = {
         "family": "kary", "k": str(args.arity), "n": str(args.edges),
         "i": str(args.outdegree), "count": value,
     }
-    _emit(args, "count", fields, value)
-    return 0
+    return fields, [value]
 
 
-def _emit_trees(args: argparse.Namespace, fields: dict, trees: list[str]) -> int:
-    """Emit an enumeration: the count and the trees follow ``fields``. The
-    text form is joined only for text output (350 kB at plane n = 10)."""
-    fields.update(count=str(len(trees)), trees=trees)
-    _emit(args, "enumerate", fields, "\n".join(trees) if args.format == "text" else "")
-    return 0
-
-
-def _cmd_enumerate_plane(args: argparse.Namespace) -> int:
+def _cmd_enumerate_plane(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .plane_trees import _plane_texts
     trees = list(_plane_texts(args.edges))
-    return _emit_trees(args, {"family": "plane", "n": str(args.edges)}, trees)
+    fields = {"family": "plane", "n": str(args.edges), "count": str(len(trees)), "trees": trees}
+    return fields, trees
 
 
-def _cmd_enumerate_kary(args: argparse.Namespace) -> int:
+def _cmd_enumerate_kary(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .kary_trees import _kary_texts
-    fields = {"family": "kary", "k": str(args.arity), "n": str(args.edges)}
-    return _emit_trees(args, fields, _kary_texts(args.arity, args.edges))
+    trees = _kary_texts(args.arity, args.edges)
+    fields = {
+        "family": "kary", "k": str(args.arity), "n": str(args.edges),
+        "count": str(len(trees)), "trees": trees,
+    }
+    return fields, trees
 
 
-def _cmd_encode_plane_pair(args: argparse.Namespace) -> int:
+def _cmd_encode_plane_pair(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import format_composition
     from .plane_trees import MarkedPlaneTree, bar_delta_encode, parse_plane_tree
     tree = parse_plane_tree(args.tree)
     word = bar_delta_encode(MarkedPlaneTree(tree, args.mark))
     n = tree.edge_count
     text = format_composition(word)
-    fields = {"what": "plane-pair", "n": str(n), "i": str(n - sum(word)), "word": text}
-    _emit(args, "encode", fields, text)
-    return 0
+    return {"what": "plane-pair", "n": str(n), "i": str(n - sum(word)), "word": text}, [text]
 
 
-def _cmd_encode_kary_pair(args: argparse.Namespace) -> int:
+def _cmd_encode_kary_pair(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import format_composition
     from .kary_trees import MarkedKaryTree, kary_pair_to_composition, parse_kary_tree
     tree = parse_kary_tree(args.tree, args.arity)
     text = format_composition(kary_pair_to_composition(MarkedKaryTree(tree, args.mark)))
     fields = {"what": "kary-pair", "k": str(tree.arity), "n": str(tree.edge_count), "word": text}
-    _emit(args, "encode", fields, text)
-    return 0
+    return fields, [text]
 
 
-def _cmd_encode_subsets(args: argparse.Namespace) -> int:
+def _cmd_encode_subsets(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import parse_composition
     from .kary_trees import phi
-    pair = phi(parse_composition(args.word), args.arity, args.edges)
-    text = pair.to_json()
-    _emit(args, "encode", {"what": "subsets", "pair": json.loads(text)}, text)
-    return 0
+    text = phi(parse_composition(args.word), args.arity, args.edges).to_json()
+    return {"what": "subsets", "pair": json.loads(text)}, [text]
 
 
-def _cmd_decode_plane(args: argparse.Namespace) -> int:
+def _cmd_decode_plane(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import parse_composition
     from .plane_trees import (
         bar_delta_decode, delta_decode, format_marked_plane_tree, format_plane_tree,
@@ -207,11 +190,10 @@ def _cmd_decode_plane(args: argparse.Namespace) -> int:
         rendered = format_plane_tree(delta_decode(word))
     else:
         rendered = format_marked_plane_tree(bar_delta_decode(word, args.outdegree))
-    _emit(args, "decode", {"what": "plane", "tree": rendered}, rendered)
-    return 0
+    return {"what": "plane", "tree": rendered}, [rendered]
 
 
-def _cmd_decode_plane_pair(args: argparse.Namespace) -> int:
+def _cmd_decode_plane_pair(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import parse_composition
     from .plane_trees import bar_delta_decode, format_marked_plane_tree
     word = parse_composition(args.word)
@@ -221,18 +203,16 @@ def _cmd_decode_plane_pair(args: argparse.Namespace) -> int:
     if args.outdegree is not None and args.outdegree != derived:
         raise ValueError(f"word encodes outdegree {derived}, expected {args.outdegree}")
     rendered = format_marked_plane_tree(bar_delta_decode(word, derived))
-    _emit(args, "decode", {"what": "plane-pair", "tree": rendered}, rendered)
-    return 0
+    return {"what": "plane-pair", "tree": rendered}, [rendered]
 
 
-def _cmd_decode_kary_pair(args: argparse.Namespace) -> int:
+def _cmd_decode_kary_pair(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import parse_composition
     from .kary_trees import composition_to_kary_pair, format_marked_kary_tree
     word = parse_composition(args.word)
     marked = composition_to_kary_pair(word, args.arity, args.edges, args.outdegree)
     rendered = format_marked_kary_tree(marked)
-    _emit(args, "decode", {"what": "kary-pair", "tree": rendered}, rendered)
-    return 0
+    return {"what": "kary-pair", "tree": rendered}, [rendered]
 
 
 def _parse_subset(text: str, label: str) -> frozenset[int]:
@@ -249,24 +229,17 @@ def _parse_subset(text: str, label: str) -> frozenset[int]:
     return subset
 
 
-def _cmd_decode_subsets(args: argparse.Namespace) -> int:
+def _cmd_decode_subsets(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import format_composition
     from .kary_trees import SubsetPair, phi_inverse
-    pair = SubsetPair(
-        args.arity,
-        args.edges,
-        _parse_subset(args.X, "--X"),
-        _parse_subset(args.Y, "--Y"),
-    )
-    text = format_composition(phi_inverse(pair))
-    _emit(args, "decode", {"what": "subsets", "word": text}, text)
-    return 0
+    x, y = _parse_subset(args.X, "--X"), _parse_subset(args.Y, "--Y")
+    text = format_composition(phi_inverse(SubsetPair(args.arity, args.edges, x, y)))
+    return {"what": "subsets", "word": text}, [text]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .verification import run_checks
     results = run_checks(args.what, args.max_edges, args.max_arity)
-    ok = all(r.passed for r in results)
     checks = [
         {
             "name": r.name,
@@ -276,12 +249,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
         for r in results
     ]
-    fields = {"what": args.what, "ok": ok, "checks": checks}
-    _emit(args, "verify", fields, "\n".join(r.line() for r in results))
-    return 0 if ok else 1
+    fields = {"what": args.what, "ok": all(r.passed for r in results), "checks": checks}
+    return fields, [r.line() for r in results]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .exact_math import count_kary_outdegree, count_plane_outdegree
     max_edges = args.max_edges
     if max_edges < 1:
@@ -303,15 +275,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     fields["columns"] = columns
     fields["rows"] = [{"i": i, "counts": counts} for i, *counts in body]
     if args.format == "csv":
-        lines = [",".join(r) for r in [["i/n", *columns], *body]]
-    elif args.format == "text":
-        grid = [["i\\n", *columns], *body]
-        widths = [max(map(len, column)) for column in zip(*grid)]
-        lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in grid]
-    else:
-        lines = []
-    _emit(args, "table", fields, "\n".join(lines))
-    return 0
+        return fields, [",".join(r) for r in [["i/n", *columns], *body]]
+    grid = [["i\\n", *columns], *body]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return fields, ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in grid]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,7 +296,13 @@ def main(argv: list[str] | None = None) -> int:
         # Inside the pipe handler, so that a reader gone while an error
         # prints is caught too.
         try:
-            return args.func(args)
+            fields, lines = args.func(args)
+            if args.format == "json":
+                doc = {"schema": SCHEMA, "kind": args.command, **fields}
+                print(json.dumps(doc, separators=(",", ":")))
+            else:
+                print("\n".join(lines))
+            return 1 if fields.get("ok") is False else 0
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -306,7 +306,7 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
     count makes each absorption complete, and the result is a valid
     marked-pair word with parameters (k, n, |X|) by construction.
     """
-    k, n = pair.k, pair.n
+    k, n = index(pair.k), index(pair.n)
     if k < 1 or n < 0:
         raise ValueError("subset pair needs k >= 1 and n >= 0")
     if not all(1 <= j <= k for j in pair.X):
@@ -348,6 +348,7 @@ def enumerate_kary_trees(k: int, n: int) -> Iterator[KaryTree]:
     recursively within each filled slot. Guarded on k*max(n, 1): even the
     one tree with no edges is a word of k + 1 entries.
     """
+    k = index(k)
     words = _kary_table(k, n, (0,), lambda slots: (k, *chain.from_iterable(slots)))
     yield from map(partial(_kary_tree, k), words)
 

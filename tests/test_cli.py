@@ -336,6 +336,32 @@ def test_validation_messages_exit_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# One argv per leaf command, each of which exits 0.
+LEAF_ARGV = [
+    "count plane -n 5 -i 2",
+    "count kary -k 3 -n 4 -i 1",
+    "enumerate plane -n 4",
+    "enumerate kary -k 2 -n 3",
+    "encode plane-pair --tree (()(()))() --mark 3",
+    "encode kary-pair --tree '( ( . . ) . )' --mark 2",
+    "encode subsets --word (3,0,0,0,0,3,0,0,0,0,3,0,0,3,3,0,0,0,3,0,0,0,0,3,3,0,0)",
+    "decode plane --word (0,2,0,0,0,3,0,0,2,0,0,3,2,0) --outdegree 2",
+    "decode plane-pair --word (1,0,2,0)",
+    "decode kary-pair --word (2,0,0,2,0,0)",
+    "decode subsets -k 3 -n 8 --X 1,3 --Y 8,11,12,16,21,22",
+    "verify all --max-edges 4 --max-arity 2",
+    "table -k 2 --max-edges 6",
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGV)
+def test_json_names_the_schema_and_the_subcommand(capsys, argv):
+    argv = shlex.split(argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["schema"], doc["kind"]) == (0, "treedegree/1", argv[0])
+
+
 class TestVerify:
     def test_all_passes(self, capsys):
         code, out, _ = run_cli(
@@ -409,7 +435,8 @@ class TestVerify:
         assert doc["ok"] is True
         assert all(check["status"] == "pass" for check in doc["checks"])
 
-    def test_tampered_formula_fails_with_smallest_counterexample(self, capsys, monkeypatch):
+    @pytest.fixture
+    def tampered_binomial(self, monkeypatch):
         import treedegree.exact_math as exact_math
 
         honest = exact_math.binomial
@@ -419,12 +446,21 @@ class TestVerify:
             return value + 1 if (n, m) == (3, 1) else value
 
         monkeypatch.setattr(exact_math, "binomial", tampered)
+
+    def test_tampered_formula_fails_with_smallest_counterexample(self, capsys, tampered_binomial):
         code, out, _ = run_cli(capsys, "verify", "theorem1", "--max-edges", "4")
         assert code == 1
         fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fail_lines
         # C(3, 1) feeds the n=2, i=0 cell; that is the smallest broken one.
         assert "n=2 i=0" in fail_lines[0]
+
+    def test_tampered_formula_fails_in_json(self, capsys, tampered_binomial):
+        argv = ["verify", "theorem1", "--max-edges", "4", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False
+        assert "fail" in [check["status"] for check in doc["checks"]]
 
 
 # sha256 of each parser's --help stdout. argparse lays out help and errors

@@ -24,6 +24,7 @@ from treedegree import (
     enumerate_compositions,
     enumerate_kary_trees,
     f_statistic,
+    format_composition,
     format_kary_tree,
     format_marked_kary_tree,
     fundamental_decomposition,
@@ -619,12 +620,16 @@ def test_entry_point_messages(calls, message):
         lambda: uncomplete(PlaneTree([PlaneTree(), PlaneTree()]), 2.0),
         lambda: composition_to_kary_pair((2.0, 0, 0, 0)),
         lambda: composition_to_kary_pair((0, 0), 2.0),
+        lambda: next(enumerate_kary_trees(2.0, 2)),
+        lambda: phi_inverse(SubsetPair(2.0, 1, frozenset({1}), frozenset())),
+        lambda: phi_inverse(SubsetPair(1, 1.0, frozenset({1}), frozenset())),
     ],
-    ids=["parse", "parse-marked", "constructor", "uncomplete", "word-arity", "given-arity"],
+    ids=["parse", "parse-marked", "constructor", "uncomplete", "word-arity", "given-arity",
+         "enumerate", "subset-pair-k", "subset-pair-n"],
 )
 def test_arity_must_be_an_integer(call):
-    # A float arity equal to an int would build a tree whose arity and word
-    # hold floats; each entry normalizes the arity with operator.index.
+    # A float arity (or subset-pair size) equal to an int would build a tree
+    # or word holding floats; each entry normalizes it with operator.index.
     with pytest.raises(TypeError):
         call()
 
@@ -632,3 +637,18 @@ def test_arity_must_be_an_integer(call):
 def test_a_bool_arity_becomes_an_int():
     arity = composition_to_kary_pair((True, 0)).tree.arity
     assert arity == 1 and type(arity) is int
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: repr(next(enumerate_kary_trees(True, 2))), "KaryTree(arity=1, word=(1, 1, 1, 0))"),
+        (
+            lambda: format_composition(phi_inverse(SubsetPair(True, 1, frozenset({1}), frozenset()))),
+            "(1,0)",
+        ),
+    ],
+    ids=["enumerate", "subset-pair"],
+)
+def test_a_bool_arity_enters_no_word(call, expected):
+    assert call() == expected
