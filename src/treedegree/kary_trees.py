@@ -276,8 +276,7 @@ def phi(
     """
     word = tuple(word)
     k, n = _kary_word_structure(word, arity, edges)
-    x, y = _phi(word, k)
-    return SubsetPair(k, n, frozenset(x), frozenset(y))
+    return SubsetPair(k, n, *_phi(word, k))
 
 
 def _phi(word: Composition, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -306,7 +305,7 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
     count makes each absorption complete, and the result is a valid
     marked-pair word with parameters (k, n, |X|) by construction.
     """
-    k, n = index(pair.k), index(pair.n)
+    k, n = pair.k, pair.n
     if k < 1 or n < 0:
         raise ValueError("subset pair needs k >= 1 and n >= 0")
     if not all(1 <= j <= k for j in pair.X):
@@ -397,6 +396,10 @@ class SubsetPair:
     n: int
     X: frozenset[int]
     Y: frozenset[int]
+
+    def __post_init__(self) -> None:
+        for name, normal in zip("knXY", (index, index, frozenset, frozenset)):
+            object.__setattr__(self, name, normal(getattr(self, name)))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -28,12 +28,12 @@ closed form as quotients:
     z^i C^i / (1 - z*C^2)                                  (plane, outdegree i)
     C(k,i) * (z*B_k)^i * (1 + z*B_k) / (1 - (k-1)*z*B_k)   (k-ary, outdegree i)
 
-Each is a power, an integer-only inverse and products: O(N^2). The
-series functions only compute. ``verify lagrange`` compares the derivative
-series with the closed-form counts, and the powers of C and B_k with the
-power-coefficient laws ``exact_math.catalan_power_coeff`` and
-``exact_math.kary_power_coeff``; ``verify_kary_power_coeff`` compares
-one coefficient of a power of B_k with its law.
+Each is one power and one exact quotient: O(N^2). The series functions
+only compute. ``verify lagrange`` compares the derivative series with the
+closed-form counts, and the powers of C and B_k with the power-coefficient
+laws ``exact_math.catalan_power_coeff`` and ``exact_math.kary_power_coeff``;
+``verify_kary_power_coeff`` compares one coefficient of a power of B_k
+with its law.
 """
 
 from __future__ import annotations
@@ -168,22 +168,21 @@ def _self_convolution(a: Sequence[int], m: int) -> int:
     return total
 
 
-def _inverse(q: Sequence[int], top: int) -> list[int]:
-    """Coefficients 0..top of 1/q, q_0 = 1: r_0 = 1, r_n = -sum_{j=1..n} q_j r_{n-j}."""
-    r = [1]
-    for n in range(1, top + 1):
-        r.append(-sum(map(mul, q[1 : n + 1], reversed(r))))
-    return r
+def _quotient(p: Sequence[int], q: Sequence[int], top: int) -> list[int]:
+    """Coefficients 0..top of p/q, q_0 = 1: d_n = p_n - sum_{j=1..n} q_j d_{n-j}."""
+    d: list[int] = []
+    for n in range(top + 1):
+        d.append(p[n] - sum(map(mul, q[1 : n + 1], reversed(d))))
+    return d
 
 
 def catalan_series(order: int) -> TruncatedSeries:
     """C(z) with C = 1 + z*C^2, via Segner's convolution c_n = sum c_j c_{n-1-j}."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
+    c = [1]
     for n in range(1, order + 1):
-        c[n] = _self_convolution(c, n - 1)
+        c.append(_self_convolution(c, n - 1))
     return TruncatedSeries(c)
 
 
@@ -227,7 +226,7 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     """Series whose coefficient n counts outdegree-i vertices over n-edge
     plane trees, built as z^i C^i / (1 - z*C^2) = sum_m z^(m+i) C^(2m+i).
 
-    The denominator is 2 - C, by C = 1 + z*C^2. Coefficient n >= 1 equals
+    One exact quotient, by 2 - C (= 1 - z*C^2). Coefficient n >= 1 equals
     C(2n - i - 1, n - 1) by Theorem 1; ``verify lagrange`` compares them.
     """
     if i < 0:
@@ -237,10 +236,8 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     if i <= order:
         top = order - i
-        c = catalan_series(top).coefficients
-        power = (TruncatedSeries(c) ** i).coefficients
-        inverse = _inverse([1, *(-x for x in c[1:])], top)
-        acc[i:] = _product(power, inverse, top)
+        c = catalan_series(top)
+        acc[i:] = _quotient((c ** i).coefficients, (2 - c).coefficients, top)
     return TruncatedSeries(acc)
 
 
@@ -249,8 +246,8 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
     k-ary trees, built as C(k,i) (z*B_k)^i (1 + z*B_k) / (1 - (k-1)*z*B_k),
     which is C(k,i) sum_r (k-1)^r (z^(i+r) B_k^(i+r) + z^(i+r+1) B_k^(i+r+1)).
 
-    Coefficient n >= 1 equals C(k, i) * C(kn, n - i) by Theorem 2;
-    ``verify lagrange`` compares them.
+    One exact quotient. Coefficient n >= 1 equals C(k, i) * C(kn, n - i)
+    by Theorem 2; ``verify lagrange`` compares them.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
@@ -261,9 +258,8 @@ def kary_derivative_series(k: int, i: int, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     if i <= order:
         top = order - i
-        b = kary_series(k, top).coefficients
-        power = (TruncatedSeries(b) ** i).coefficients
-        numerator = _product(power, [1, *b[:top]], top)
-        inverse = _inverse([1, *(-(k - 1) * x for x in b[:top])], top)
-        acc[i:] = (binomial(k, i) * x for x in _product(numerator, inverse, top))
+        b = kary_series(k, top)
+        numerator = _product((b ** i).coefficients, [1, *b.coefficients[:top]], top)
+        denominator = [1, *(-(k - 1) * x for x in b.coefficients[:top])]
+        acc[i:] = (binomial(k, i) * x for x in _quotient(numerator, denominator, top))
     return TruncatedSeries(acc)

@@ -652,3 +652,23 @@ def test_a_bool_arity_becomes_an_int():
 )
 def test_a_bool_arity_enters_no_word(call, expected):
     assert call() == expected
+
+
+class TestSubsetPairNormalizes:
+    # The constructor normalizes k and n with operator.index and X and Y to
+    # frozensets, so to_json and hashing see the same pair phi would build.
+    def test_a_bool_k_serialises_as_an_int(self):
+        pair = SubsetPair(True, 1, frozenset({1}), frozenset())
+        assert pair.to_json() == '{"k":1,"n":1,"X":[1],"Y":[]}'
+        assert type(pair.k) is int
+
+    @pytest.mark.parametrize("k, n", [(2.0, 1), (1, 1.0)], ids=["k", "n"])
+    def test_a_float_size_raises_at_construction(self, k, n):
+        with pytest.raises(TypeError):
+            SubsetPair(k, n, frozenset({1}), frozenset())
+
+    def test_plain_sets_give_a_hashable_pair(self):
+        pair = SubsetPair(3, 8, set(SAMPLE_TERNARY_X), set(SAMPLE_TERNARY_Y))
+        reference = SubsetPair(3, 8, SAMPLE_TERNARY_X, SAMPLE_TERNARY_Y)
+        assert type(pair.X) is frozenset and type(pair.Y) is frozenset
+        assert pair == reference and hash(pair) == hash(reference)

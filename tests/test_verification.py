@@ -583,7 +583,7 @@ ALL_FAULTS = [
     ),
     (
         series,
-        "_inverse",
+        "_quotient",
         _off_third_term,
         {
             PLANE_DERIVATIVE: "i=0 n=3: series 11 != formula 10",
@@ -640,8 +640,8 @@ def test_each_verify_line_fails_under_its_fault(monkeypatch, owner, attr, fault,
     assert {r.name: r.detail for r in results if not r.passed} == failing
 
 
-def test_a_wrong_inverse_term_names_its_cell(monkeypatch):
-    monkeypatch.setattr(series, "_inverse", _off_third_term(series._inverse))
+def test_a_wrong_quotient_term_names_its_cell(monkeypatch):
+    monkeypatch.setattr(series, "_quotient", _off_third_term(series._quotient))
     plane, kary = verification.run_checks("lagrange", 1, 2)[4:]
     assert plane.line() == (
         f"FAIL {PLANE_DERIVATIVE} [i=0..10, coefficients 1..12]: "
