@@ -44,7 +44,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, count, product
+from itertools import chain, combinations, compress, count, islice, product
 from operator import index
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
@@ -189,9 +189,10 @@ def _kary_word_structure(
     # equal k; then n must match ``edges`` when given. Returns (k, n).
     if not word:
         raise ValueError("entry shape: word is empty")
-    if min(word) < 0:
+    values = set(word)
+    if min(values) < 0:
         raise ValueError("entry shape: entries must be nonnegative")
-    values = set(word) - {0}
+    values.discard(0)
     if len(values) > 1:
         raise ValueError(
             f"entry shape: entries must be 0 or the arity, found {sorted(values)}"
@@ -230,7 +231,9 @@ def kary_pair_to_composition(m: MarkedKaryTree) -> Composition:
     t = m.tree
     if not 1 <= m.mark <= t.vertex_count:
         raise ValueError(f"mark {m.mark} out of range 1..{t.vertex_count}")
-    return _bar_delta_encode(t.word, complete(t)[1][m.mark - 1])
+    # The mark's image in the completion: the position of its k in the word.
+    position = next(islice(compress(count(1), t.word), m.mark - 1, None))
+    return _bar_delta_encode(t.word, position)
 
 
 def composition_to_kary_pair(
@@ -308,9 +311,9 @@ def phi_inverse(pair: "SubsetPair") -> Composition:
     k, n = pair.k, pair.n
     if k < 1 or n < 0:
         raise ValueError("subset pair needs k >= 1 and n >= 0")
-    if not all(1 <= j <= k for j in pair.X):
+    if pair.X and (min(pair.X) < 1 or max(pair.X) > k):
         raise ValueError(f"X must be a subset of 1..{k}")
-    if not all(1 <= j <= k * n for j in pair.Y):
+    if pair.Y and (min(pair.Y) < 1 or max(pair.Y) > k * n):
         raise ValueError(f"Y must be a subset of 1..{k * n}")
     if len(pair.X) + len(pair.Y) != n:
         raise ValueError(
@@ -398,8 +401,14 @@ class SubsetPair:
     Y: frozenset[int]
 
     def __post_init__(self) -> None:
-        for name, normal in zip("knXY", (index, index, frozenset, frozenset)):
-            object.__setattr__(self, name, normal(getattr(self, name)))
+        for name in "kn":
+            object.__setattr__(self, name, index(getattr(self, name)))
+        for name in "XY":
+            # A frozenset of ints is kept, not copied: its caller may hold it.
+            entries = getattr(self, name)
+            if not (type(entries) is frozenset and set(map(type, entries)) <= {int}):
+                entries = frozenset(map(index, entries))
+            object.__setattr__(self, name, entries)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -410,19 +419,26 @@ class SubsetPair:
 
 def format_kary_tree(t: KaryTree) -> str:
     """Slot form: ``( s_1 ... s_k )`` per vertex, with ``.`` for an empty slot."""
+    # A vertex read at f-height h closes when an empty slot brings the
+    # f-height down to h - 1; the last slot brings it to -1 and closes
+    # every vertex still open.
     tokens: list[str] = []
-    pending: list[int] = []  # slots still to come, per open vertex
+    closes: list[int] = []  # the f-height at which each open vertex closes
+    height = 0
     for part in t.word:
-        if pending:
-            pending[-1] -= 1
         if part:
             tokens.append("(")
-            pending.append(part)
+            closes.append(height - 1)
+            height += part - 1
+        elif height:
+            tokens.append(".")
+            height -= 1
+            while closes[-1] == height:
+                closes.pop()
+                tokens.append(")")
         else:
             tokens.append(".")
-            while pending and not pending[-1]:
-                pending.pop()
-                tokens.append(")")
+            tokens += [")"] * len(closes)
     return " ".join(tokens)
 
 
@@ -435,41 +451,41 @@ def parse_kary_tree(text: str, arity: int | None = None) -> KaryTree:
     if arity is not None and (arity := index(arity)) < 1:
         raise ValueError("arity must be at least 1")
     tokens = "".join(text.split())
-    entries: list[int] = []  # slots read so far, per open group
-    roots = 0
+    # Slots read so far, a closed group counting as one; at the top level,
+    # the root groups read. A group's slots are those read since its '('.
+    slots = 0
+    opens: list[int] = []  # the count just after each open group's '('
     k = arity
     for ch in tokens:
         if ch == "(":
-            if entries:
-                entries[-1] += 1
-            entries.append(0)
+            slots += 1
+            opens.append(slots)
         elif ch == ".":
-            if not entries:
+            if not opens:
                 raise ValueError("'.' outside any group")
-            entries[-1] += 1
+            slots += 1
         elif ch == ")":
-            if not entries:
+            if not opens:
                 raise ValueError(f"unbalanced ')' in {text!r}")
-            count = entries.pop()
-            if k is None:
-                k = count
-                if k < 1:
+            size = slots - opens.pop()
+            if size != k:
+                if k is not None:
+                    raise ValueError(f"group with {size} slots in arity-{k} tree")
+                if size < 1:
                     raise ValueError("arity must be at least 1")
-            elif count != k:
-                raise ValueError(f"group with {count} slots in arity-{k} tree")
-            if not entries:
-                roots += 1
-                if roots > 1:
-                    raise ValueError("more than one root group")
+                k = size
+            slots -= size
+            if slots > 1 and not opens:
+                raise ValueError("more than one root group")
         else:
             raise ValueError(f"unexpected character {ch!r} in k-ary tree text")
-    if entries:
+    if opens:
         raise ValueError(f"unbalanced '(' in {text!r}")
-    if not roots:
+    if not slots:
         raise ValueError("empty k-ary tree text")
     # Without its ')'s, the text is the completion in preorder: '(' for a
     # vertex of the tree, '.' for an empty slot.
-    return _kary_tree(k, tuple(k if ch == "(" else 0 for ch in tokens.replace(")", "")))
+    return _kary_tree(k, tuple(map({"(": k, ".": 0}.__getitem__, tokens.replace(")", ""))))
 
 
 def format_marked_kary_tree(m: MarkedKaryTree) -> str:

@@ -20,7 +20,8 @@ with no recursion, folds a state over each word's head and builds the
 cached tables of the suffixes that finish a head. The words join each head
 to its suffix table, and the text of every tree (``enumerate plane``)
 joins each head's text to a cached tuple of formatted suffixes, keyed by
-its pending-children stack. The one counting oracle, a private histogram
+its f-height and closing-height stack: the f-height at which each vertex
+still open closes. The one counting oracle, a private histogram
 of tree count and outdegree totals, joins no words: it groups the heads by
 f-height and counts each group's parts once per suffix in its table, and
 each table's parts once per head in the group.
@@ -125,7 +126,7 @@ def degree_histogram(t: PlaneTree) -> dict[int, int]:
 
 
 # Trailing parts of each word taken from a suffix table, not the walk.
-# The formatted tables, one per pending stack, grow fast with it.
+# The formatted tables, one per closing-height stack, grow fast with it.
 _BLOCK = 6
 # The same for the histogram, which caches only each table's size and
 # totals, so longer tables cost it little memory.
@@ -245,11 +246,12 @@ def _suffix_totals(height: int, parts: int) -> tuple[int, Counter[int]]:
 def _plane_texts(n: int) -> Iterator[str]:
     # format_plane_tree of every tree of enumerate_plane_trees, in its order,
     # guarded like _plane_words: each head prefix's text joined, in C, to the
-    # formatted suffixes that finish it from its pending-children stack.
+    # formatted suffixes that finish it from its f-height and closing-height
+    # stack.
     parts = _guarded_parts(n, _BLOCK)
     return chain.from_iterable(
         map(text.__add__, _text_suffixes(stack, height, parts))
-        for (text, stack), height in _prefixes(n, parts, ("", ()), _format_step)
+        for (text, _, stack), height in _prefixes(n, parts, ("", 0, ()), _format_step)
     )
 
 
@@ -316,39 +318,53 @@ def format_plane_tree(t: PlaneTree) -> str:
     The single vertex renders as the empty string; a root with two leaf
     children renders as ``()()``.
     """
-    return _format_entries(t.word, [])
+    return _format_entries(t.word, 0, [])
 
 
-def _format_entries(word: Composition, pending: list[int]) -> str:
-    # The text of the entries ``word`` after a prefix that left ``pending``
-    # (children still to come, per open vertex, innermost last); updates
-    # ``pending`` to the stack after them.
+def _format_entries(word: Composition, height: int, closes: list[int]) -> str:
+    # The text of the entries ``word`` read from f-height ``height`` after a
+    # prefix that left ``closes``, the f-height at which each open vertex
+    # closes (innermost last, the root first once read); updates ``closes``
+    # to the stack after them. A vertex read at f-height h closes when the
+    # f-height falls to h - 1. Each vertex but the root writes '(' when read
+    # and ')' when it closes, so a leaf writes "()" and is never pushed. A
+    # leaf read at f-height 0 ends the word: every open vertex closes.
     out: list[str] = []
     for degree in word:
-        if pending:
-            pending[-1] -= 1
-            out.append("(")
-        pending.append(degree)
-        while pending and not pending[-1]:
-            pending.pop()
-            if pending:
+        if degree:
+            if closes:
+                out.append("(")
+            closes.append(height - 1)
+            height += degree - 1
+        elif height:
+            out.append("()")
+            height -= 1
+            while closes[-1] == height:
+                closes.pop()
                 out.append(")")
+        elif closes:
+            out.append("(" + ")" * len(closes))
+            closes.clear()
     return "".join(out)
 
 
-def _format_step(state: tuple[str, tuple[int, ...]], part: int) -> tuple[str, tuple[int, ...]]:
-    # A prefix's (text, pending stack), one part longer.
-    text, stack = state
-    pending = list(stack)
-    text += _format_entries((part,), pending)
-    return text, tuple(pending)
+def _format_step(
+    state: tuple[str, int, tuple[int, ...]], part: int
+) -> tuple[str, int, tuple[int, ...]]:
+    # A prefix's (text, f-height, closing-height stack), one part longer.
+    text, height, stack = state
+    closes = list(stack)
+    text += _format_entries((part,), height, closes)
+    return text, height + part - 1, tuple(closes)
 
 
 @cache
 def _text_suffixes(stack: tuple[int, ...], height: int, parts: int) -> tuple[str, ...]:
-    # The text of every suffix in _suffixes(height, parts), read after a
-    # prefix that left the pending stack ``stack``.
-    return tuple(_format_entries(suffix, list(stack)) for suffix in _suffixes(height, parts))
+    # The text of every suffix in _suffixes(height, parts), read at f-height
+    # ``height`` after a prefix that left the closing-height stack ``stack``.
+    return tuple(
+        _format_entries(suffix, height, list(stack)) for suffix in _suffixes(height, parts)
+    )
 
 
 def parse_plane_tree(text: str) -> PlaneTree:

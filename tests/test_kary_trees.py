@@ -654,9 +654,44 @@ def test_a_bool_arity_enters_no_word(call, expected):
     assert call() == expected
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ({0}, {1}, "X must be a subset of 1..3"),
+        ({4}, {25}, "X must be a subset of 1..3"),
+        ({1}, {0}, "Y must be a subset of 1..6"),
+        ({1}, {7}, "Y must be a subset of 1..6"),
+        ({1, 2, 3}, {1, 2, 3}, "|X| + |Y| must equal n=2, got 3 + 3"),
+    ],
+    ids=["x-low", "x-high-before-y", "y-low", "y-high", "sizes-after-ranges"],
+)
+def test_subset_range_messages(x, y, message):
+    # X is checked before Y, and both ranges before the sizes.
+    with pytest.raises(ValueError) as excinfo:
+        phi_inverse(SubsetPair(3, 2, x, y))
+    assert str(excinfo.value) == message
+
+
 class TestSubsetPairNormalizes:
-    # The constructor normalizes k and n with operator.index and X and Y to
-    # frozensets, so to_json and hashing see the same pair phi would build.
+    # The constructor normalizes k, n and the entries of X and Y with
+    # operator.index, and X and Y to frozensets, so to_json and hashing see
+    # the same pair phi would build.
+    def test_bool_entries_serialise_as_ints(self):
+        pair = SubsetPair(2, 1, frozenset({True}), [False, 2])
+        assert pair.to_json() == '{"k":2,"n":1,"X":[1],"Y":[0,2]}'
+        assert {type(j) for j in pair.X | pair.Y} == {int}
+
+    def test_a_frozenset_of_ints_is_kept(self):
+        # Not copied: a caller that keeps its own sets holds each table once.
+        x, y = frozenset({1}), frozenset({2, 5})
+        pair = SubsetPair(3, 3, x, y)
+        assert pair.X is x and pair.Y is y
+
+    @pytest.mark.parametrize("x, y", [({1.0}, ()), ((), {1.0})], ids=["X", "Y"])
+    def test_a_float_entry_raises_at_construction(self, x, y):
+        with pytest.raises(TypeError):
+            SubsetPair(2, 1, x, y)
+
     def test_a_bool_k_serialises_as_an_int(self):
         pair = SubsetPair(True, 1, frozenset({1}), frozenset())
         assert pair.to_json() == '{"k":1,"n":1,"X":[1],"Y":[]}'
