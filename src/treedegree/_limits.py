@@ -8,8 +8,6 @@ limits at call time; it is a safety valve for deliberate large runs, not
 a tuning knob. A refusal or a malformed value raises :class:`GuardError`.
 """
 
-from __future__ import annotations
-
 import os
 
 GUARD_ENV = "TREEDEGREE_GUARD"

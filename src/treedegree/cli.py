@@ -11,26 +11,28 @@ printed), 2 usage or validation error.
 
 A call imports only the layer its command runs: each command imports the
 library functions it calls, so ``count`` loads ``exact_math`` and nothing
-that enumerates, sweeps or expands series. :func:`build_parser` returns
-the process's one parser, built on its first call, so repeated in-process
+that enumerates, sweeps or expands series, and ``json`` is imported only
+where a JSON document is written. :func:`build_parser` returns the
+process's one parser, built on its first call, so repeated in-process
 calls of :func:`main` pay only for their command. Each ``_cmd_*`` handler
 only computes, and returns ``(fields, lines)``: the JSON body after
 ``schema`` and ``kind`` (the subcommand), and the text lines. :func:`main`
 prints the one document and maps ``ok: false`` to exit code 1, a
 ``ValueError`` to 2, an ``AssertionError`` to 1 and a closed pipe to 0.
 
-:func:`build_parser` declares each leaf command in one call of
+:func:`build_parser` declares every command's name and summary up front,
+for ``--help`` and the invalid-choice error, and builds a command's own
+flags and subcommands on demand: the first time a parse selects it. A
+group command (``count``, ``enumerate``, ``encode``, ``decode``) is one
+call of :func:`_add_group` and each leaf command one call of
 :func:`_add_command`: its summary, handler and flags in order, after which
 ``--format`` follows. Each flag that several commands take alike is
 written once there: ``-n/--edges``, ``-k/--arity`` and ``-i/--outdegree``
 in a required and an optional form, and ``--word``.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -41,15 +43,48 @@ SCHEMA = "treedegree/1"
 __all__ = ["build_parser", "main"]
 
 
-def _add_command(sub, name: str, summary: str, func, *flags, csv: bool = False) -> None:
-    """Add the leaf command ``name`` to ``sub``: each of ``flags``, a pair of
-    add_argument names and keywords, in order, then ``--format`` and ``func``."""
-    parser = sub.add_parser(name, help=summary)
-    for names, keywords in flags:
-        parser.add_argument(*names, **keywords)
-    choices = ["text", "json", "csv"] if csv else ["text", "json"]
-    parser.add_argument("--format", choices=choices, default="text")
-    parser.set_defaults(func=func)
+class _OnDemand(argparse._SubParsersAction):
+    """Subcommands whose names and summaries are declared at once, and whose
+    own flags and subcommands are added the first time a parse selects them."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._unbuilt = {}
+
+    def declare(self, name: str, summary: str, build) -> None:
+        """Add the command ``name``; ``build(parser)`` fills it in when selected."""
+        self.add_parser(name, help=summary)
+        self._unbuilt[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        build = self._unbuilt.pop(values[0], None)
+        if build is not None:
+            build(self.choices[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_command(sub: _OnDemand, name: str, summary: str, func, *flags, csv: bool = False) -> None:
+    """Declare the leaf command ``name`` in ``sub``: each of ``flags``, a pair
+    of add_argument names and keywords, in order, then ``--format`` and ``func``."""
+    def build(parser: argparse.ArgumentParser) -> None:
+        for names, keywords in flags:
+            parser.add_argument(*names, **keywords)
+        choices = ["text", "json", "csv"] if csv else ["text", "json"]
+        parser.add_argument("--format", choices=choices, default="text")
+        parser.set_defaults(func=func)
+
+    sub.declare(name, summary, build)
+
+
+def _add_group(sub: _OnDemand, name: str, summary: str, dest: str, *commands: tuple) -> None:
+    """Declare the command ``name`` in ``sub``, which takes one of ``commands``
+    (each the arguments of an :func:`_add_command` call) into ``dest``."""
+    def build(parser: argparse.ArgumentParser) -> None:
+        group = parser.add_subparsers(dest=dest, required=True, action=_OnDemand)
+        for command in commands:
+            _add_command(group, *command)
+
+    sub.declare(name, summary, build)
 
 
 @functools.cache
@@ -60,52 +95,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treedegree",
         description="Exact vertex-outdegree counting and bijections for plane and k-ary trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_OnDemand)
     # The flags that several commands share, in their required and optional forms.
     n, k, i = ("-n", "--edges"), ("-k", "--arity"), ("-i", "--outdegree")
     edges, arity, outdegree = ((names, dict(type=int, required=True)) for names in (n, k, i))
     edges_opt, arity_opt, outdegree_opt = ((names, dict(type=int)) for names in (n, k, i))
     word = ("--word",), dict(required=True)
 
-    count = sub.add_parser("count", help="closed-form vertex counts")
-    count = count.add_subparsers(dest="family", required=True)
-    _add_command(count, "plane", "outdegree-i vertices over n-edge plane trees",
-                 _cmd_count_plane, edges, outdegree)
-    _add_command(count, "kary", "outdegree-i vertices over n-edge k-ary trees",
-                 _cmd_count_kary, arity, edges, outdegree)
-
-    enum = sub.add_parser("enumerate", help="list all trees of a given size")
-    enum = enum.add_subparsers(dest="family", required=True)
-    _add_command(enum, "plane", "all plane trees with n edges", _cmd_enumerate_plane, edges)
-    _add_command(enum, "kary", "all k-ary trees with n edges", _cmd_enumerate_kary, arity, edges)
-
-    encode = sub.add_parser("encode", help="trees and marked trees to word/subset form")
-    encode = encode.add_subparsers(dest="what", required=True)
-    _add_command(encode, "plane-pair", "marked plane tree to cyclic word", _cmd_encode_plane_pair,
-                 (("--tree",), dict(required=True, help="balanced-parentheses tree text")),
-                 (("--mark",), dict(type=int, required=True, help="1-based preorder index")))
-    _add_command(encode, "kary-pair", "marked k-ary tree to 0/k word", _cmd_encode_kary_pair,
-                 (("--tree",), dict(required=True, help="slot-form tree text, '.' = empty")),
-                 (("--mark",), dict(type=int, required=True)),
-                 (k, dict(type=int, help="optional, validated against the tree")))
-    _add_command(encode, "subsets", "0/k word to subset pair (X, Y)", _cmd_encode_subsets,
-                 (("--word",), dict(required=True, help="composition text, e.g. (3,0,0,0)")),
-                 arity_opt, edges_opt)
-
-    decode = sub.add_parser("decode", help="word/subset form back to trees")
-    decode = decode.add_subparsers(dest="what", required=True)
-    _add_command(decode, "plane",
-                 "unit word to plane tree; with --outdegree, cyclic word to marked tree",
-                 _cmd_decode_plane, word, outdegree_opt)
-    _add_command(decode, "plane-pair", "cyclic word to marked plane tree", _cmd_decode_plane_pair,
-                 word, (i, dict(type=int, help="optional, validated against the word")))
-    _add_command(decode, "kary-pair", "0/k word to marked k-ary tree", _cmd_decode_kary_pair,
-                 word, arity_opt, edges_opt, outdegree_opt)
-    _add_command(decode, "subsets", "subset pair (X, Y) to 0/k word", _cmd_decode_subsets,
-                 (("--X",), dict(default="", help="comma-separated subset of 1..k")),
-                 (("--Y",), dict(default="", help="comma-separated subset of 1..kn")),
-                 arity, edges)
-
+    _add_group(sub, "count", "closed-form vertex counts", "family",
+               ("plane", "outdegree-i vertices over n-edge plane trees",
+                _cmd_count_plane, edges, outdegree),
+               ("kary", "outdegree-i vertices over n-edge k-ary trees",
+                _cmd_count_kary, arity, edges, outdegree))
+    _add_group(sub, "enumerate", "list all trees of a given size", "family",
+               ("plane", "all plane trees with n edges", _cmd_enumerate_plane, edges),
+               ("kary", "all k-ary trees with n edges", _cmd_enumerate_kary, arity, edges))
+    _add_group(sub, "encode", "trees and marked trees to word/subset form", "what",
+               ("plane-pair", "marked plane tree to cyclic word", _cmd_encode_plane_pair,
+                (("--tree",), dict(required=True, help="balanced-parentheses tree text")),
+                (("--mark",), dict(type=int, required=True, help="1-based preorder index"))),
+               ("kary-pair", "marked k-ary tree to 0/k word", _cmd_encode_kary_pair,
+                (("--tree",), dict(required=True, help="slot-form tree text, '.' = empty")),
+                (("--mark",), dict(type=int, required=True)),
+                (k, dict(type=int, help="optional, validated against the tree"))),
+               ("subsets", "0/k word to subset pair (X, Y)", _cmd_encode_subsets,
+                (("--word",), dict(required=True, help="composition text, e.g. (3,0,0,0)")),
+                arity_opt, edges_opt))
+    _add_group(sub, "decode", "word/subset form back to trees", "what",
+               ("plane", "unit word to plane tree; with --outdegree, cyclic word to marked tree",
+                _cmd_decode_plane, word, outdegree_opt),
+               ("plane-pair", "cyclic word to marked plane tree", _cmd_decode_plane_pair,
+                word, (i, dict(type=int, help="optional, validated against the word"))),
+               ("kary-pair", "0/k word to marked k-ary tree", _cmd_decode_kary_pair,
+                word, arity_opt, edges_opt, outdegree_opt),
+               ("subsets", "subset pair (X, Y) to 0/k word", _cmd_decode_subsets,
+                (("--X",), dict(default="", help="comma-separated subset of 1..k")),
+                (("--Y",), dict(default="", help="comma-separated subset of 1..kn")),
+                arity, edges))
     _add_command(sub, "verify", "formula-vs-oracle sweeps", _cmd_verify,
                  (("what",), dict(choices=[*CHECK_NAMES, "all"])),
                  (("--max-edges",), dict(
@@ -176,8 +202,9 @@ def _cmd_encode_kary_pair(args: argparse.Namespace) -> tuple[dict, list[str]]:
 def _cmd_encode_subsets(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import parse_composition
     from .kary_trees import phi
-    text = phi(parse_composition(args.word), args.arity, args.edges).to_json()
-    return {"what": "subsets", "pair": json.loads(text)}, [text]
+    pair = phi(parse_composition(args.word), args.arity, args.edges)
+    fields = {"k": pair.k, "n": pair.n, "X": sorted(pair.X), "Y": sorted(pair.Y)}
+    return {"what": "subsets", "pair": fields}, [pair.to_json()]
 
 
 def _cmd_decode_plane(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -298,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             fields, lines = args.func(args)
             if args.format == "json":
+                import json
                 doc = {"schema": SCHEMA, "kind": args.command, **fields}
                 print(json.dumps(doc, separators=(",", ":")))
             else:

@@ -10,8 +10,6 @@ each raises instead of rounding (:func:`exact_div`, or the same divmod done
 in line by :func:`count_odd_outdegree`), so an algebra mistake fails loudly.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator, Sequence
 

@@ -686,6 +686,37 @@ class TestParser:
         got = vars(build_parser().parse_args(shlex.split(argv)))
         assert {**got, "func": got["func"].__name__} == expected
 
+    @staticmethod
+    def _used_parser():
+        # A new process parser that has already built every command: it has
+        # parsed the whole corpus, last entry first.
+        build_parser.cache_clear()
+        parser = build_parser()
+        for argv in reversed(PARSE_CORPUS):
+            parser.parse_args(shlex.split(argv))
+        return parser
+
+    @PARSER_PINS
+    def test_pinned_output_is_the_same_from_a_used_parser(
+        self, capsys, monkeypatch, argv, code, out_digest, err_digest
+    ):
+        # Commands are built the first time a parse selects them; what was
+        # built before changes no byte.
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        self._used_parser()
+        assert run_cli(capsys, *argv) == fresh
+        assert fresh[0] == code
+
+    def test_corpus_namespaces_are_the_same_from_a_used_parser(self):
+        fresh = {}
+        for argv in PARSE_CORPUS:
+            build_parser.cache_clear()
+            fresh[argv] = vars(build_parser().parse_args(shlex.split(argv)))
+        parser = self._used_parser()
+        assert {argv: vars(parser.parse_args(shlex.split(argv))) for argv in PARSE_CORPUS} == fresh
+
     def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
         calls = [
             ["verify", "theorem1", "--max-edges", "3"],
@@ -706,6 +737,7 @@ class TestParser:
 
     def test_verify_choices_and_defaults_are_the_sweeps(self):
         parser = build_parser()
+        parser.parse_args(["verify", "all"])  # builds verify's flags
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         verify = {a.dest: a for a in commands.choices["verify"]._actions}
         assert verify["what"].choices == [*verification.CHECKS, "all"]

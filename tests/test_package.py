@@ -36,13 +36,14 @@ def test_exports_are_the_union_of_the_library_modules():
 
 
 def _loaded_after(code: str) -> set[str]:
-    # The treedegree modules a fresh interpreter holds after running ``code``.
+    # The treedegree modules, and json, that a fresh interpreter holds after
+    # running ``code``.
     src = os.path.dirname(os.path.dirname(treedegree.__file__))
     script = (
         "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {code}\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('treedegree')))\n"
+        "print(*(m for m in sys.modules if m == 'json' or m.startswith('treedegree')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -68,8 +69,10 @@ def test_a_bare_import_loads_no_library_module():
     "argv", [["count", "plane", "-n", "5", "-i", "2"], ["table", "--max-edges", "5"]]
 )
 def test_count_and_table_import_only_the_closed_forms(argv):
-    loaded = _loaded_after(f"from treedegree.cli import main; assert main({argv!r}) == 0")
-    assert loaded == {"treedegree", "treedegree._limits", "treedegree.cli", "treedegree.exact_math"}
+    # Text output leaves json out too; a JSON document loads it.
+    closed_forms = {"treedegree", "treedegree._limits", "treedegree.cli", "treedegree.exact_math"}
+    for run, loaded in ((argv, closed_forms), ([*argv, "--format", "json"], closed_forms | {"json"})):
+        assert _loaded_after(f"from treedegree.cli import main; assert main({run!r}) == 0") == loaded
 
 
 def test_a_library_module_imports_alone():
