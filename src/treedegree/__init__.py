@@ -21,12 +21,19 @@ binds every export here. The command line imports only the layer that each
 command runs.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "0.1.0"
 
 # The library modules, in the order of the package's exports.
 _LIBRARY = ("compositions", "exact_math", "kary_trees", "plane_trees", "series", "verification")
+
+
+def _load(name: str):
+    # ``python -X importtime`` logs what __import__ loads, which it does not
+    # for importlib.import_module.
+    __import__(f"{__name__}.{name}")
+    return _sys.modules[f"{__name__}.{name}"]
 
 
 def _bind() -> dict:
@@ -35,7 +42,7 @@ def _bind() -> dict:
     # lists are the table; naming one export means importing them all.
     namespace = globals()
     if "__all__" not in namespace:
-        modules = [_import_module(f"{__name__}.{name}") for name in _LIBRARY]
+        modules = [_load(name) for name in _LIBRARY]
         for module in modules:
             namespace.update((name, getattr(module, name)) for name in module.__all__)
         namespace["__all__"] = [name for module in modules for name in module.__all__]
@@ -46,7 +53,7 @@ def __getattr__(name: str):
     if name in _LIBRARY:
         # A sibling's ``from . import exact_math`` comes here too, so a
         # module name imports that module alone.
-        return _import_module(f"{__name__}.{name}")
+        return _load(name)
     if name == "__all__" or not name.startswith("_"):
         namespace = _bind()
         if name in namespace:

@@ -153,8 +153,9 @@ def count_odd_outdegree(n: int) -> int:
     Computed as the odd column of :func:`count_plane_outdegree`, walked
     from the largest odd i <= n down to i = 1, so from the smallest term,
     C(n-1, n-1) or C(n, n-1), up. Each step i -> i - 2 is the exact ratio
-    (2n-i+1)(2n-i) / ((n-i+2)(n-i+1)), the two small factors multiplied
-    before they meet the big term, by one divmod in line that raises on a
+    a(a-1) / (b(b-1)) with a = 2n-i+1 and b = n-i+2, carried as running
+    factors that each grow by 2 per step; the two small products meet the
+    big term in one multiply and one divmod in line, which raises on a
     remainder as :func:`exact_div` does. The Fine relation 3 * odd(n) =
     2*C(2n-1, n) + F_{n-1} is checked by ``verify fine``.
     """
@@ -162,13 +163,16 @@ def count_odd_outdegree(n: int) -> int:
         raise ValueError("edge count must be at least 1")
     top = n if n % 2 else n - 1
     total = term = count_plane_outdegree(n, top)
-    for i in range(top, 1, -2):
-        num = term * ((2 * n - i + 1) * (2 * n - i))
-        den = (n - i + 2) * (n - i + 1)
-        term, remainder = divmod(num, den)
+    b = n - top + 2
+    for a in range(2 * n - top + 1, 2 * n - 1, 2):
+        den = b * (b - 1)
+        term, remainder = divmod(term * (a * (a - 1)), den)
         if remainder:
-            raise AssertionError(f"odd-column ratio step: {num} is not divisible by {den}")
+            raise AssertionError(
+                f"odd-column ratio step: {term * den + remainder} is not divisible by {den}"
+            )
         total += term
+        b += 2
     return total
 
 

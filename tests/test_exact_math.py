@@ -240,7 +240,9 @@ class TestOddOutdegree:
             assert count_odd_outdegree(n) == expected
 
     def test_matches_the_forward_walk_and_the_binomial_sum(self):
-        for n in range(1, 201):
+        # Past the series-deep sweep (n <= 300), at odd and even n, so the
+        # walk starts at top odd i = n and at i = n - 1.
+        for n in [*range(1, 201), 301, 302, 1000, 1001, 2000]:
             odd = count_odd_outdegree(n)
             assert odd == odd_column_forward(n)
             assert odd == sum(math.comb(2 * n - i - 1, n - 1) for i in range(1, n + 1, 2))

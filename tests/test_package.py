@@ -80,7 +80,21 @@ def test_a_library_module_imports_alone():
     assert loaded == {"treedegree", "treedegree._limits", "treedegree.exact_math"}
 
 
-@pytest.mark.parametrize("code", ["from treedegree import binomial", "from treedegree import cli"])
+def test_the_import_log_names_a_lazily_loaded_module():
+    # ``python -X importtime`` logs only what the import statement's machinery
+    # loads, so the package's lazy attributes must load through it.
+    src = os.path.dirname(os.path.dirname(treedegree.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import treedegree; treedegree.series"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"\| +treedegree\.series$", proc.stderr, re.MULTILINE), proc.stderr
+
+
+@pytest.mark.parametrize("code",["from treedegree import binomial", "from treedegree import cli"])
 def test_a_public_name_binds_the_whole_library(code):
     # As the eager import did. Tools that look the library modules up in
     # sys.modules after ``from treedegree import cli`` still find them all.
