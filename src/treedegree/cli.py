@@ -36,7 +36,9 @@ import functools
 import os
 import sys
 
-from ._limits import CHECK_NAMES, DEFAULT_MAX_ARITY, DEFAULT_MAX_EDGES
+from ._limits import (
+    CHECK_NAMES, CODEC_GUARD, DEFAULT_MAX_ARITY, DEFAULT_MAX_EDGES, check_guard,
+)
 
 SCHEMA = "treedegree/1"
 
@@ -259,6 +261,7 @@ def _parse_subset(text: str, label: str) -> frozenset[int]:
 def _cmd_decode_subsets(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .compositions import format_composition
     from .kary_trees import SubsetPair, phi_inverse
+    check_guard(CODEC_GUARD, args.arity * (args.edges + 1))
     x, y = _parse_subset(args.X, "--X"), _parse_subset(args.Y, "--Y")
     text = format_composition(phi_inverse(SubsetPair(args.arity, args.edges, x, y)))
     return {"what": "subsets", "word": text}, [text]

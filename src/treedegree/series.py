@@ -28,7 +28,12 @@ closed form as quotients:
     z^i C^i / (1 - z*C^2)                                  (plane, outdegree i)
     C(k,i) * (z*B_k)^i * (1 + z*B_k) / (1 - (k-1)*z*B_k)   (k-ary, outdegree i)
 
-Each is one power and one exact quotient: O(N^2). The series functions
+The plane one is computed as z^i C^(i-1) / (1 - 2zC), by two consequences
+of C = 1 + z*C^2: C^2 = (C - 1)/z, which is C's coefficients read from
+c_1 on, and 1 - z*C^2 = 2 - C = C(1 - 2zC). Odd i takes the power
+(C^2)^((i-1)/2) over 1 - 2zC, and even i the power (C^2)^(i/2) over 2 - C,
+so no power of C itself is formed. Each series is one power and one exact
+quotient: O(N^2). The series functions
 only compute. ``verify lagrange`` compares the derivative series with the
 closed-form counts, and the powers of C and B_k with the power-coefficient
 laws ``exact_math.catalan_power_coeff`` and ``exact_math.kary_power_coeff``;
@@ -224,10 +229,14 @@ def verify_kary_power_coeff(k: int, n: int, l: int) -> tuple[int, int]:
 
 def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     """Series whose coefficient n counts outdegree-i vertices over n-edge
-    plane trees, built as z^i C^i / (1 - z*C^2) = sum_m z^(m+i) C^(2m+i).
+    plane trees, z^i C^i / (1 - z*C^2) = sum_m z^(m+i) C^(2m+i).
 
-    One exact quotient, by 2 - C (= 1 - z*C^2). Coefficient n >= 1 equals
-    C(2n - i - 1, n - 1) by Theorem 1; ``verify lagrange`` compares them.
+    Since 1 - z*C^2 = 2 - C = C(1 - 2zC), this is z^i C^(i-1) / (1 - 2zC),
+    and C^2 = (C - 1)/z is C's own coefficients shifted down by one. So
+    odd i takes (C^2)^((i-1)/2) over 1 - 2zC, and even i (C^2)^(i/2) over
+    2 - C: one power of C^2 and one exact quotient. Coefficient n >= 1
+    equals C(2n - i - 1, n - 1) by Theorem 1; ``verify lagrange`` compares
+    them.
     """
     if i < 0:
         raise ValueError("outdegree must be nonnegative")
@@ -236,8 +245,13 @@ def plane_derivative_series(i: int, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     if i <= order:
         top = order - i
-        c = catalan_series(top)
-        acc[i:] = _quotient((c ** i).coefficients, (2 - c).coefficients, top)
+        c = catalan_series(top + 1).coefficients
+        if i % 2:
+            denominator = [1, *(-2 * x for x in c[:top])]
+        else:
+            denominator = [1, *(-x for x in c[1 : top + 1])]
+        numerator = TruncatedSeries(c[1:]) ** (i // 2)
+        acc[i:] = _quotient(numerator.coefficients, denominator, top)
     return TruncatedSeries(acc)
 
 

@@ -262,6 +262,31 @@ class TestEncodeDecode:
         )
         assert code == 0 and out.strip() == "(0,0)"
 
+    @pytest.mark.parametrize("x", ["1", "a"])
+    def test_a_long_subset_word_is_refused_before_its_subsets_are_read(self, capsys, x):
+        # The decoded word has k(n+1) entries. The guard refuses it before
+        # --X is parsed, so a malformed --X gets the same refusal.
+        code, out, err = run_cli(
+            capsys, "decode", "subsets", "-k", "3000000", "-n", "1", "--X", x
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: subset-decoder word length exceeds the codec guard "
+            "(6000000 > 2000000); set TREEDEGREE_GUARD to raise the limit\n"
+        )
+
+    def test_codec_guard_boundary(self, capsys, monkeypatch):
+        argv = ("decode", "subsets", "-k", "3", "-n", "3", "--X", "1", "--Y", "1,2")
+        monkeypatch.setenv("TREEDEGREE_GUARD", "12")
+        assert run_cli(capsys, *argv) == (0, "(3,3,3,0,0,0,0,0,0,0,0,0)\n", "")
+        monkeypatch.setenv("TREEDEGREE_GUARD", "11")
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: subset-decoder word length exceeds the codec guard (12 > 11); "
+            "set TREEDEGREE_GUARD to raise the limit\n",
+        )
+
     def test_table_rows_through_cli(self, capsys):
         for x, y, word, tree, mark in BINARY_TABLE:
             code, out, _ = run_cli(

@@ -64,6 +64,17 @@ def shifted_power_plane(i, order):
     return total
 
 
+def power_over_two_minus_c(i, order):
+    # Reference for plane_derivative_series: z^i C^i / (2 - C), with C^i
+    # taken by repeated squaring of C itself.
+    acc = [0] * (order + 1)
+    if i <= order:
+        top = order - i
+        c = catalan_series(top)
+        acc[i:] = _quotient((c ** i).coefficients, (2 - c).coefficients, top)
+    return TruncatedSeries(acc)
+
+
 def shifted_power_kary(k, i, order):
     # Reference for kary_derivative_series:
     # C(k,i) sum_{r >= 0} (k-1)^r (z^(i+r) B^(i+r) + z^(i+r+1) B^(i+r+1)).
@@ -157,9 +168,13 @@ class TestDefiningEquations:
             assert series[n] == catalan(n)
 
     def test_catalan_residual(self):
-        c = catalan_series(30)
-        assert c - (1 + (c * c).shift(1)) == TruncatedSeries.constant(0, 30)
-        assert (1 - c.shift(1)) * c == TruncatedSeries.constant(1, 30)
+        # With the residual, the identities that plane_derivative_series
+        # rests on: C^2 = (C - 1)/z, 1/C = 1 - zC and C(1 - 2zC) = 2 - C.
+        c = catalan_series(60)
+        assert c - (1 + (c * c).shift(1)) == TruncatedSeries.constant(0, 60)
+        assert TruncatedSeries(catalan_series(61).coefficients[1:]) == c * c
+        assert (1 - c.shift(1)) * c == TruncatedSeries.constant(1, 60)
+        assert c * (1 - 2 * c.shift(1)) == 2 - c
 
     def test_kary_coefficients(self):
         assert kary_series(2, 3).coefficients == (1, 2, 5, 14)
@@ -305,6 +320,15 @@ class TestDerivativeSeries:
         for i in range(7):
             for order in sorted({0, i, 30}):
                 assert plane_derivative_series(i, order) == shifted_power_plane(i, order)
+
+    def test_plane_matches_the_power_of_c_over_two_minus_c(self):
+        # i = 0, 1 and 2 are the computed form's edge cases: the zeroth power
+        # of C^2 over each of its two denominators, and the first even power.
+        for order in (0, 1, 2, 3, 5, 12, 30, 60, 100):
+            for i in range(order + 3):
+                assert plane_derivative_series(i, order) == power_over_two_minus_c(
+                    i, order
+                ), (i, order)
 
     def test_kary_matches_shifted_power_sum(self):
         # k = 1 has weight (k-1) = 0: only the r = 0 term survives.
